@@ -34,14 +34,11 @@ from .cells import (
     sigma_cover,
 )
 from .errors import (
-    BudgetExceeded,
-    DomainError,
     FormNotExact,
     LinfMeasureError,
     NotDisjointifiable,
     NotFinitelyCellCoverable,
     SampleOutsideOverlap,
-    ScheduleExhausted,
     SeriesNotSummable,
     SplitUnsupported,
     UnknownSupport,

@@ -32,6 +32,20 @@ from .intervals import (
 ExtendedRational = Union[Fraction, float]  # exact rational or +inf
 
 
+def tail_factor(length: Fraction) -> ExtendedRational:
+    """Measure contribution of infinitely many coordinates each constrained
+    to a set of the given length: 0 below 1, 1 at 1, +inf above.
+
+    Callers multiply it onto a nonzero finite product, so 0 * inf never
+    arises (the measure convention reads it as 0).
+    """
+    if length < 1:
+        return Fraction(0)
+    if length == 1:
+        return Fraction(1)
+    return INF
+
+
 @dataclass(frozen=True)
 class SparseVector:
     """Finitely supported rational coordinate vector."""
@@ -211,12 +225,7 @@ class Box:
             product *= c.total_length
         if product == 0:
             return Fraction(0)  # 0 * inf = 0 convention
-        t = self.tail.total_length
-        if t < 1:
-            return Fraction(0)
-        if t == 1:
-            return product
-        return INF
+        return product * tail_factor(self.tail.total_length)
 
     def contains_point(self, point: Mapping[int, object]) -> bool:
         """Membership of a finitely supported point (zero beyond its support)."""

@@ -32,13 +32,12 @@ from .intervals import INF, Interval, IntervalUnion, UNIT_UNION, frac
 
 @dataclass(frozen=True)
 class Cell:
-    """The unit cube translated by base + offset."""
+    """The unit cube translated by the lattice vector base."""
 
     base: LatticeVector = LatticeVector()
-    offset: SparseVector = ZERO_VECTOR
 
     def origin(self) -> SparseVector:
-        return self.base.to_sparse() + self.offset
+        return self.base.to_sparse()
 
     def as_box(self) -> Box:
         return unit_cell().translate(self.origin())

@@ -7,7 +7,8 @@ never a float.  Reports are deterministic for a given file and version
 (timings are deliberately omitted).
 
 Exit codes: 0 success, 1 not-integrable/diverged/failed verification,
-2 usage or parse error, 3 inconclusive.
+2 usage or parse error, 3 inconclusive.  A reader that closes stdout early
+(``| head``) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -74,6 +76,31 @@ def _rat(value: Any, where: str) -> Fraction:
     raise ProblemError(
         f"{where}: expected a rational string 'p/q' or integer, got {value!r}"
     )
+
+
+def _lookup(table: dict, kind: str, name: Any, where: str = "") -> Any:
+    """The entry called name, or a ProblemError listing the available names."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    prefix = f"{where}: " if where else ""
+    raise ProblemError(
+        f"{prefix}unknown {kind} {name!r}; "
+        f"available: {', '.join(sorted(table)) or 'none'}"
+    )
+
+
+def _required(task: dict, key: str, where: str) -> Any:
+    if key not in task:
+        raise ProblemError(f"{where}.{key}: missing")
+    return task[key]
+
+
+def _convert(convert, value: Any, where: str) -> Any:
+    """int(value) or float(value), with a located error instead of a traceback."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ProblemError(f"{where}: expected {convert.__name__}, got {value!r}")
 
 
 def _union(value: Any, where: str) -> IntervalUnion:
@@ -164,21 +191,15 @@ class Problem:
         for name, value in (raw.get("schedules") or {}).items():
             self.schedules[name] = _schedule_from_dict(value, f"schedules.{name}")
 
-    def set_union(self, name: str) -> BoxUnion:
-        if name not in self.sets:
-            raise ProblemError(f"unknown set {name!r}")
-        return self.sets[name]
+    def set_union(self, name: str, where: str = "") -> BoxUnion:
+        return _lookup(self.sets, "set", name, where)
 
-    def function(self, name: str) -> Expr:
-        if name not in self.functions:
-            raise ProblemError(f"unknown function {name!r}")
-        return self.functions[name]
+    def function(self, name: str, where: str = "") -> Expr:
+        return _lookup(self.functions, "function", name, where)
 
     def _region(self, value: Any, where: str) -> BoxUnion:
         if isinstance(value, str):
-            if value not in self.sets:
-                raise ProblemError(f"{where}: unknown set {value!r}")
-            return self.sets[value]
+            return self.set_union(value, where)
         boxes = value if isinstance(value, list) else [value]
         return BoxUnion.of(*[_box(b, f"{where}[{k}]") for k, b in enumerate(boxes)])
 
@@ -240,13 +261,9 @@ class Problem:
         if op == "abs":
             return Abs(self._expr(value.get("arg"), f"{where}.arg"))
         if op == "builtin":
-            name = value.get("name")
-            if name not in BUILTIN_FUNCTIONS:
-                raise ProblemError(
-                    f"{where}.name: unknown builtin {name!r}; "
-                    f"available: {', '.join(sorted(BUILTIN_FUNCTIONS))}"
-                )
-            return BUILTIN_FUNCTIONS[name]()
+            return _lookup(
+                BUILTIN_FUNCTIONS, "builtin", value.get("name"), f"{where}.name"
+            )()
         raise ProblemError(f"{where}: unknown op {op!r}")
 
 
@@ -255,21 +272,28 @@ def _schedule_from_dict(value: Any, where: str) -> LimitSchedule:
         raise ProblemError(f"{where}: expected an object")
     kwargs: dict = {}
     if "n_max" in value:
-        kwargs["n_values"] = tuple(range(0, int(value["n_max"]) + 1))
+        n_max = _convert(int, value["n_max"], f"{where}.n_max")
+        kwargs["n_values"] = tuple(range(0, n_max + 1))
     if "n_values" in value:
-        kwargs["n_values"] = tuple(int(n) for n in value["n_values"])
-    if "M_max_power" in value:
-        kwargs["M_values"] = tuple(
-            Fraction(2) ** k for k in range(0, int(value["M_max_power"]) + 1)
+        if not isinstance(value["n_values"], list):
+            raise ProblemError(f"{where}.n_values: expected a list of integers")
+        kwargs["n_values"] = tuple(
+            _convert(int, n, f"{where}.n_values[{k}]")
+            for k, n in enumerate(value["n_values"])
         )
+    if "M_max_power" in value:
+        power = _convert(int, value["M_max_power"], f"{where}.M_max_power")
+        kwargs["M_values"] = tuple(Fraction(2) ** k for k in range(0, power + 1))
     if "M_values" in value:
+        if not isinstance(value["M_values"], list):
+            raise ProblemError(f"{where}.M_values: expected a list of rationals")
         kwargs["M_values"] = tuple(
-            _rat(m, f"{where}.M_values") for m in value["M_values"]
+            _rat(m, f"{where}.M_values[{k}]") for k, m in enumerate(value["M_values"])
         )
     if "epsilon" in value:
-        kwargs["epsilon"] = float(value["epsilon"])
+        kwargs["epsilon"] = _convert(float, value["epsilon"], f"{where}.epsilon")
     if "window" in value:
-        kwargs["window"] = int(value["window"])
+        kwargs["window"] = _convert(int, value["window"], f"{where}.window")
     try:
         return LimitSchedule(**kwargs)
     except ValueError as exc:
@@ -293,16 +317,17 @@ def _schedule_from_flags(base: LimitSchedule, text: Optional[str]) -> LimitSched
         epsilon=base.epsilon,
     )
     for key, val in spec.items():
+        where = f"--schedule {key}"
         if key == "n_max":
-            kwargs["n_values"] = tuple(range(0, int(val) + 1))
+            kwargs["n_values"] = tuple(range(0, _convert(int, val, where) + 1))
         elif key == "M_max_power":
             kwargs["M_values"] = tuple(
-                Fraction(2) ** k for k in range(0, int(val) + 1)
+                Fraction(2) ** k for k in range(0, _convert(int, val, where) + 1)
             )
         elif key == "epsilon":
-            kwargs["epsilon"] = float(val)
+            kwargs["epsilon"] = _convert(float, val, where)
         elif key == "window":
-            kwargs["window"] = int(val)
+            kwargs["window"] = _convert(int, val, where)
         else:
             raise ProblemError(f"--schedule: unknown key {key!r}")
     try:
@@ -344,16 +369,9 @@ def _fmt(value: Any) -> Any:
     return float(value)
 
 
-def _trace_rows(result: IntegralResult) -> List[dict]:
+def _slice_rows(rows) -> List[dict]:
     return [
-        {
-            "n": r.n,
-            "M": _fmt(r.truncation),
-            "value": _fmt(r.value),
-            "error": r.error_estimate,
-            "mode": r.mode,
-        }
-        for r in result.trace
+        {"n": r.n, "M": _fmt(r.truncation), "value": _fmt(r.value)} for r in rows
     ]
 
 
@@ -368,7 +386,7 @@ def _result_record(result: IntegralResult, with_trace: bool = True) -> dict:
         "warnings": list(result.warnings),
     }
     if with_trace:
-        rec["trace"] = _trace_rows(result)
+        rec["trace"] = _slice_rows(result.trace)
     return rec
 
 
@@ -419,7 +437,11 @@ def cmd_measure(args) -> int:
 def cmd_integrate(args) -> int:
     problem = _load_problem(args.file)
     f = problem.function(args.function)
-    sched = problem.schedules.get(args.use_schedule, DEFAULT_SCHEDULE) if args.use_schedule else DEFAULT_SCHEDULE
+    sched = DEFAULT_SCHEDULE
+    if args.use_schedule:
+        sched = _lookup(
+            problem.schedules, "schedule", args.use_schedule, "--use-schedule"
+        )
     sched = _schedule_from_flags(sched, args.schedule)
     if args.no_truncation:
         sched = sched.untruncated()
@@ -451,7 +473,9 @@ def cmd_integrate(args) -> int:
 def cmd_slice_scan(args) -> int:
     problem = _load_problem(args.file)
     f = problem.function(args.function)
-    anchor = problem.anchors.get(args.anchor, ZERO_ANCHOR) if args.anchor else ZERO_ANCHOR
+    anchor = ZERO_ANCHOR
+    if args.anchor:
+        anchor = _lookup(problem.anchors, "anchor", args.anchor, "--anchor")
     try:
         lo, _, hi = args.n.partition("..")
         n_values = tuple(range(int(lo), int(hi) + 1))
@@ -461,17 +485,7 @@ def cmd_slice_scan(args) -> int:
     for item in (args.M or "inf").split(","):
         item = item.strip()
         M_values.append(INF if item in ("inf", "INF") else _rat(item, "--M"))
-    rows = slice_scan(f, anchor, n_values, tuple(M_values))
-    table = [
-        {
-            "n": r.n,
-            "M": _fmt(r.truncation),
-            "value": _fmt(r.value),
-            "error": r.error_estimate,
-            "mode": r.mode,
-        }
-        for r in rows
-    ]
+    table = _slice_rows(slice_scan(f, anchor, n_values, tuple(M_values)))
     report = {
         "version": __version__,
         "command": "slice-scan",
@@ -480,42 +494,41 @@ def cmd_slice_scan(args) -> int:
     }
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
-            writer = csv.DictWriter(
-                handle, fieldnames=["n", "M", "value", "error", "mode"]
-            )
+            writer = csv.DictWriter(handle, fieldnames=["n", "M", "value"])
             writer.writeheader()
             writer.writerows(table)
     _emit(report, args.out)
     return EXIT_OK
 
 
-def _run_verify_task(problem: Problem, task: dict, where: str) -> dict:
+def _run_verify_task(problem: Problem, task: Any, where: str) -> dict:
+    if not isinstance(task, dict):
+        raise ProblemError(f"{where}: expected a check object")
     kind = task.get("type")
     if kind == "invariance":
-        f = problem.function(task["function"])
+        name = _required(task, "function", where)
+        f = problem.function(name, f"{where}.function")
         shift = _sparse(task.get("shift", {}), f"{where}.shift")
         rep = invariance_check(f, shift)
         return {
             "type": "invariance",
-            "function": task["function"],
+            "function": name,
             "direct": _fmt(rep.direct.value),
             "translated": _fmt(rep.translated.value),
             "difference": _fmt(rep.difference),
-            "passed": rep.passed
-            and rep.difference is not None
-            and float(rep.difference) <= 2 * DEFAULT_SCHEDULE.epsilon,
+            "passed": rep.passed,
         }
     if kind == "fubini":
-        f = problem.function(task["function"])
-        splits = []
-        for name in task.get("splits", []):
-            if name not in problem.splits:
-                raise ProblemError(f"{where}: unknown split {name!r}")
-            splits.append(problem.splits[name])
+        name = _required(task, "function", where)
+        f = problem.function(name, f"{where}.function")
+        splits = [
+            _lookup(problem.splits, "split", s, f"{where}.splits")
+            for s in task.get("splits", [])
+        ]
         rep = fubini_check(f, splits)
         return {
             "type": "fubini",
-            "function": task["function"],
+            "function": name,
             "rows": [
                 {
                     "split": {"kind": r.split.kind, "indices": list(r.split.indices)},
@@ -549,12 +562,14 @@ def _run_verify_task(problem: Problem, task: dict, where: str) -> dict:
             "passed": rep.passed,
         }
     if kind == "expect-measure":
-        u = problem.set_union(task["set"])
-        expected = _rat(task["value"], f"{where}.value") if task["value"] not in ("inf", "INF") else INF
+        name = _required(task, "set", where)
+        u = problem.set_union(name, f"{where}.set")
+        value = _required(task, "value", where)
+        expected = INF if value in ("inf", "INF") else _rat(value, f"{where}.value")
         actual = patch_measure(u)
         return {
             "type": "expect-measure",
-            "set": task["set"],
+            "set": name,
             "expected": _fmt(expected),
             "actual": _fmt(actual),
             "passed": actual == expected,
@@ -625,6 +640,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _detach_stdout() -> None:
+    """The reader closed stdout early (``| head``): point the descriptor at
+    the null device so the interpreter's final flush cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor behind stdout, so nothing flushes it at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -633,7 +660,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors, matching our convention
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # surface a closed pipe here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _detach_stdout()
+        return EXIT_OK
     except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,24 +17,12 @@ class SampleOutsideOverlap(LinfMeasureError):
     """A compatibility sample is not contained in the overlap of the two cells."""
 
 
-class DomainError(LinfMeasureError):
-    """A point or cell lies outside the declared domain of a function."""
-
-
 class SeriesNotSummable(LinfMeasureError):
     """A series term rule lacks the information needed to evaluate it rigorously."""
 
 
 class FormNotExact(LinfMeasureError):
     """Exact integration was requested for a function outside the structured class."""
-
-
-class BudgetExceeded(LinfMeasureError):
-    """A numeric integration exceeded its evaluation budget."""
-
-
-class ScheduleExhausted(LinfMeasureError):
-    """A limit schedule ran out of values before stabilization was observed."""
 
 
 class UnknownSupport(LinfMeasureError):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Tuple, Union
 
 from .boxes import Box, BoxUnion, SparseVector, ZERO_VECTOR, coerce_union
-from .errors import DomainError, SeriesNotSummable
+from .errors import SeriesNotSummable
 from .intervals import INF, Interval, IntervalUnion, UNIT_UNION, frac
 
 

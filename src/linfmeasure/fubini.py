@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .boxes import Box, union_disjointify, BoxUnion
+from .boxes import Box, tail_factor, union_disjointify
 from .errors import SplitUnsupported
 from .exprs import (
     Abs,
@@ -41,7 +41,7 @@ from .limits import (
     integrability_check,
     integrate_global,
 )
-from .quadrature import PiecewisePoly, QuadratureSpec, _poly_mul
+from .quadrature import PiecewisePoly, _poly_mul
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,6 @@ class CoordinateSplit:
         return self.kind == "finite" and not self.indices
 
 
-def _tail_factor(length) -> Union[Fraction, float]:
-    """Measure contribution of infinitely many coordinates each constrained
-    to a set of the given length: 0 below 1, 1 at 1, infinite above."""
-    if length < 1:
-        return Fraction(0)
-    if length == 1:
-        return Fraction(1)
-    return INF
-
-
 @dataclass(frozen=True)
 class SplitMeasures:
     v_measure: Union[Fraction, float]
@@ -109,12 +99,7 @@ def box_split_measures(b: Box, split: CoordinateSplit) -> SplitMeasures:
                 if m == 0:
                     return Fraction(0)
         if infinite:
-            tf = _tail_factor(b.tail.total_length)
-            if m == 0:
-                return Fraction(0)
-            if tf == 0:
-                return Fraction(0)
-            m = m * tf
+            return m * tail_factor(b.tail.total_length)
         return m
 
     v = side(split.v_contains, split.v_infinite)
@@ -301,10 +286,7 @@ def _term_iterated_value(term: GlobalTerm, split: CoordinateSplit) -> Fraction:
                 "a term without a tail constraint has no finite integral over "
                 "the infinite side of the split"
             )
-        tf = _tail_factor(term.tail.total_length)
-        if tf == 0 or val == 0:
-            return Fraction(0)
-        return val * tf
+        return val * tail_factor(term.tail.total_length)
 
     v = side_value(split.v_contains, split.v_infinite)
     if v == 0:
@@ -353,7 +335,6 @@ def iterated_integrate(
     f: Expr,
     split: CoordinateSplit,
     sched: LimitSchedule = DEFAULT_SCHEDULE,
-    quad: QuadratureSpec = QuadratureSpec(),
     assume_integrable: bool = False,
 ) -> IntegralResult:
     """Integral of f computed as outer-over-V of the inner W-integral.
@@ -363,9 +344,9 @@ def iterated_integrate(
     structured terms.  Series are expanded to increasing depth and the
     partial iterated values must stabilize."""
     if split.is_empty:
-        return integrate_global(f, sched, None, quad)
+        return integrate_global(f, sched)
     if not assume_integrable:
-        check = integrability_check(f, sched, None, quad)
+        check = integrability_check(f, sched)
         if check.verdict != "integrable":
             return IntegralResult(
                 value=None,
@@ -428,20 +409,19 @@ def fubini_check(
     f: Expr,
     splits: List[CoordinateSplit],
     sched: LimitSchedule = DEFAULT_SCHEDULE,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> FubiniReport:
     """Compare iterated integration against direct integration per split.
 
     The integrability verdict is taken from the direct run, so each split
     costs only the symbolic iterated evaluation."""
-    direct = integrate_global(f, sched, None, quad)
+    direct = integrate_global(f, sched)
     rows = []
     for split in splits:
         try:
             if split.is_empty:
                 it = direct
             elif direct.status == "converged":
-                it = iterated_integrate(f, split, sched, quad, assume_integrable=True)
+                it = iterated_integrate(f, split, sched, assume_integrable=True)
             elif direct.status in ("not-integrable", "inconclusive"):
                 it = IntegralResult(
                     value=None,
@@ -449,7 +429,7 @@ def fubini_check(
                     warnings=("integrability verdict taken from the direct run",),
                 )
             else:
-                it = iterated_integrate(f, split, sched, quad)
+                it = iterated_integrate(f, split, sched)
         except SplitUnsupported as exc:
             it = IntegralResult(value=None, status="inconclusive", warnings=(str(exc),))
         diff = None

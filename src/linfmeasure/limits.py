@@ -11,11 +11,11 @@ the signed one, sharing the per-slice piece decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .boxes import BoxUnion, SparseVector, ZERO_VECTOR, coerce_union
+from .boxes import SparseVector
 from .cells import Cell, NotSigmaFinite, ORIGIN_CELL, sigma_cover
 from .errors import FormNotExact, UnknownSupport
 from .exprs import (
@@ -28,13 +28,7 @@ from .exprs import (
 )
 from .exprs import UNKNOWN as UNKNOWN_SUPPORT
 from .intervals import INF
-from .quadrature import (
-    QuadratureSpec,
-    SliceEvaluator,
-    SliceIntegral,
-    _factors_bound,
-    integrate_slice,
-)
+from .quadrature import SliceEvaluator, SliceIntegral
 
 # Dense while slices are cheap, then every other n up to 60.  The upper end
 # is set by the largest default truncation bound: a truncated slice of an
@@ -113,29 +107,25 @@ class _InnerLimit:
 
 
 class _SliceCache:
-    """Lazily slices a function at increasing n; in exact mode the per-slice
-    normalization is cached too, so every truncation bound reuses it."""
+    """Lazily slices and normalizes a function at increasing n, so every
+    truncation bound reuses the per-slice normalization."""
 
     def __init__(self, f: Expr, anchor: Anchor, n_values: Sequence[int]):
         self.f = f
         self.anchor = anchor
         self.n_values = tuple(n_values)
-        self._slices: dict = {}
         self._evaluators: dict = {}
-
-    def slice_at(self, n: int):
-        if n not in self._slices:
-            self._slices[n] = slice_function(self.f, self.anchor, n)
-        return self._slices[n]
 
     def evaluator_at(self, n: int) -> SliceEvaluator:
         if n not in self._evaluators:
-            self._evaluators[n] = SliceEvaluator(self.slice_at(n))
+            self._evaluators[n] = SliceEvaluator(
+                slice_function(self.f, self.anchor, n)
+            )
         return self._evaluators[n]
 
 
 def _inner_limit(
-    cache: _SliceCache, sched: LimitSchedule, quad: QuadratureSpec, bound: Number
+    cache: _SliceCache, sched: LimitSchedule, bound: Number
 ) -> Optional[_InnerLimit]:
     """Run the n-limit at a fixed truncation bound.
 
@@ -146,30 +136,23 @@ def _inner_limit(
     """
     trace: List[SliceIntegral] = []
     values: List[Number] = []
-    abs_values: Optional[List[Number]] = [] if quad.mode == "exact" else None
-    if quad.mode == "exact":
-        for n in cache.n_values:
-            ev = cache.evaluator_at(n)
+    abs_values: Optional[List[Number]] = []
+    for n in cache.n_values:
+        ev = cache.evaluator_at(n)
+        try:
+            value = ev.integral_at(bound)
+        except FormNotExact:
+            # truncating below the function's own bound would cut through
+            # a non-constant piece; the caller skips this bound (any bound
+            # at or above the function's magnitude changes nothing)
+            return None
+        trace.append(SliceIntegral(n, bound, value))
+        values.append(value)
+        if abs_values is not None:
             try:
-                value = ev.integral_at(bound)
+                abs_values.append(ev.abs_integral_at(bound))
             except FormNotExact:
-                # truncating below the function's own bound would cut through
-                # a non-constant piece; the caller skips this bound (any bound
-                # at or above the function's magnitude changes nothing)
-                return None
-            trace.append(SliceIntegral(n, bound, value, 0.0, "exact"))
-            values.append(value)
-            if abs_values is not None:
-                try:
-                    abs_values.append(ev.abs_integral_at(bound))
-                except FormNotExact:
-                    abs_values = None
-    else:
-        spec = quad.with_truncation(bound)
-        for n in cache.n_values:
-            r = integrate_slice(cache.slice_at(n), spec)
-            trace.append(r)
-            values.append(r.value)
+                abs_values = None
     ok = _stabilized(values, sched.window, sched.epsilon)
     abs_ok = abs_values is not None and _stabilized(
         abs_values, sched.window, sched.epsilon
@@ -203,7 +186,6 @@ def integrate_cell(
     cell: Cell = ORIGIN_CELL,
     anchor: Anchor = ZERO_ANCHOR,
     sched: LimitSchedule = DEFAULT_SCHEDULE,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> IntegralResult:
     """Integral of f over the given unit cell via the double limit.
 
@@ -217,7 +199,7 @@ def integrate_cell(
     trace: List[SliceIntegral] = []
     warnings: List[str] = []
     for bound in sched.M_values:
-        lim = _inner_limit(cache, sched, quad, bound)
+        lim = _inner_limit(cache, sched, bound)
         if lim is None:
             warnings.append(
                 f"truncation at {bound} is not exactly representable for this "
@@ -299,54 +281,46 @@ def _structural_bound(
         return None
 
 
-@dataclass(frozen=True)
-class _Pipeline:
-    verdict: str
-    reason: str
-    cells: tuple
-    evidence: tuple
-    absolute_integral: Optional[Number]
-
-
-def _run_pipeline(
+def integrability_check(
     f: Expr,
-    sched: LimitSchedule,
-    cells: Optional[Sequence[Cell]],
-    quad: QuadratureSpec,
-) -> _Pipeline:
-    """Shared support -> sigma-cover -> per-cell double-limit stage."""
+    sched: LimitSchedule = DEFAULT_SCHEDULE,
+    cells: Optional[Sequence[Cell]] = None,
+) -> IntegrabilityReport:
+    """Integrable iff the support is sigma-finite and the per-cell |f|
+    integrals sum to a finite value along the schedule.
+
+    This is the support -> sigma-cover -> per-cell double-limit stage that
+    integrate_global shares.
+    """
     resolved = _resolve_cells(f, cells)
     if isinstance(resolved, NotSigmaFinite):
-        return _Pipeline(
+        return IntegrabilityReport(
             verdict="not-integrable",
             reason=f"support is not sigma-finite: {resolved.reason}",
             cells=(),
             evidence=(),
-            absolute_integral=None,
         )
     evidence: List[CellEvidence] = []
     for cell in resolved:
-        res = integrate_cell(f, cell, ZERO_ANCHOR, sched, quad)
+        res = integrate_cell(f, cell, ZERO_ANCHOR, sched)
         if res.absolute_status == "converged":
             evidence.append(CellEvidence(cell, res, res.absolute_integral))
         elif res.absolute_status == "diverged":
-            return _Pipeline(
+            return IntegrabilityReport(
                 verdict="not-integrable",
                 reason="the |f| double limit diverges on at least one cell",
                 cells=tuple(resolved),
                 evidence=tuple(evidence),
-                absolute_integral=None,
             )
         else:
             bound = _structural_bound(f, cell, sched)
             if bound is None:
-                return _Pipeline(
+                return IntegrabilityReport(
                     verdict="inconclusive",
                     reason="|f| admits neither a stabilized double limit nor a "
                     "structural bound on every cell",
                     cells=tuple(resolved),
                     evidence=tuple(evidence),
-                    absolute_integral=None,
                 )
             evidence.append(
                 CellEvidence(
@@ -364,7 +338,7 @@ def _run_pipeline(
         # evidence only when the summands are converged |f| integrals; a
         # structural upper bound that overshoots proves nothing either way
         exact = all(not e.note for e in evidence)
-        return _Pipeline(
+        return IntegrabilityReport(
             verdict="not-integrable" if exact else "inconclusive",
             reason=(
                 "partial sums of per-cell |f| integrals exceed every bound "
@@ -377,7 +351,7 @@ def _run_pipeline(
             evidence=tuple(evidence),
             absolute_integral=total if exact else None,
         )
-    return _Pipeline(
+    return IntegrabilityReport(
         verdict="integrable",
         reason="support is sigma-finite and per-cell |f| integrals sum finitely",
         cells=tuple(resolved),
@@ -386,29 +360,10 @@ def _run_pipeline(
     )
 
 
-def integrability_check(
-    f: Expr,
-    sched: LimitSchedule = DEFAULT_SCHEDULE,
-    cells: Optional[Sequence[Cell]] = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> IntegrabilityReport:
-    """Integrable iff the support is sigma-finite and the per-cell |f|
-    integrals sum to a finite value along the schedule."""
-    p = _run_pipeline(f, sched, cells, quad)
-    return IntegrabilityReport(
-        verdict=p.verdict,
-        reason=p.reason,
-        cells=p.cells,
-        evidence=p.evidence,
-        absolute_integral=p.absolute_integral,
-    )
-
-
 def integrate_global(
     f: Expr,
     sched: LimitSchedule = DEFAULT_SCHEDULE,
     cells: Optional[Sequence[Cell]] = None,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> IntegralResult:
     """Full pipeline: support, sigma-cover, per-cell |f| check, then the
     per-piece signed integrals summed in deterministic cell order.
@@ -418,7 +373,7 @@ def integrate_global(
     equals the full cell integral.  The signed values reuse the same
     per-cell runs as the integrability stage.
     """
-    p = _run_pipeline(f, sched, cells, quad)
+    p = integrability_check(f, sched, cells)
     if p.verdict != "integrable":
         return IntegralResult(
             value=None,
@@ -460,6 +415,7 @@ class InvarianceReport:
     direct: IntegralResult
     translated: IntegralResult
     difference: Optional[Number]
+    tolerance: float
 
     @property
     def passed(self) -> bool:
@@ -467,6 +423,7 @@ class InvarianceReport:
             self.direct.status == "converged"
             and self.translated.status == "converged"
             and self.difference is not None
+            and float(self.difference) <= self.tolerance
         )
 
 
@@ -475,15 +432,20 @@ def invariance_check(
     t: SparseVector,
     sched: LimitSchedule = DEFAULT_SCHEDULE,
     cells: Optional[Sequence[Cell]] = None,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> InvarianceReport:
     """Compare the integral of f with the integral of x -> f(x + t)."""
-    direct = integrate_global(f, sched, cells, quad)
-    shifted = integrate_global(translate(f, t), sched, None, quad)
+    direct = integrate_global(f, sched, cells)
+    shifted = integrate_global(translate(f, t), sched)
     diff = None
     if direct.value is not None and shifted.value is not None:
         diff = abs(direct.value - shifted.value)
-    return InvarianceReport(shift=t, direct=direct, translated=shifted, difference=diff)
+    return InvarianceReport(
+        shift=t,
+        direct=direct,
+        translated=shifted,
+        difference=diff,
+        tolerance=2 * sched.epsilon,
+    )
 
 
 def slice_scan(
@@ -491,13 +453,12 @@ def slice_scan(
     anchor: Anchor = ZERO_ANCHOR,
     n_values: Sequence[int] = _DEFAULT_N,
     M_values: Sequence[Number] = (INF,),
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> List[SliceIntegral]:
     """The raw (n, M) -> slice integral table, for plotting and inspection."""
     out: List[SliceIntegral] = []
     cache = _SliceCache(f, anchor, tuple(n_values))
     for bound in M_values:
-        lim = _inner_limit(cache, DEFAULT_SCHEDULE, quad, bound)
+        lim = _inner_limit(cache, DEFAULT_SCHEDULE, bound)
         if lim is not None:
             out.extend(lim.trace)
     return out

@@ -1,25 +1,22 @@
 """Finite-dimensional integration of sliced functions over [0,1]^dims.
 
-The exact mode is primary: it normalizes a structured expression into a sum
+Integration is exact: a structured expression is normalized into a sum
 of separable terms (constant times a product of univariate piecewise
-polynomials) and integrates in rational arithmetic.  Magnitude truncation
+polynomials) and integrated in rational arithmetic.  Magnitude truncation
 uses the hard-drop semantics value * 1{|value| <= M}: on disjoint constant
-pieces, whole pieces above the bound are removed.  Numeric modes exist for
-smooth demonstrations.
+pieces, whole pieces above the bound are removed.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
-from .boxes import Box, BoxUnion, coerce_union, union_disjointify
-from .errors import BudgetExceeded, FormNotExact
+from .boxes import coerce_union, union_disjointify
+from .errors import FormNotExact
 from .exprs import (
     Abs,
     Clamp,
@@ -42,25 +39,12 @@ from .intervals import INF, Interval, IntervalUnion, UNIT_INTERVAL, UNIT_UNION, 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate one slice: mode, budget, tolerance, truncation bound."""
+    """How to integrate one slice: the magnitude truncation bound M."""
 
-    mode: str = "exact"  # exact | tensor-gauss | adaptive | qmc
-    order: int = 8
-    points: int = 2**13
-    tolerance: float = 1e-10
     truncation: Union[Fraction, float] = INF
-    budget: int = 10**7
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "tensor-gauss", "adaptive", "qmc"):
-            raise ValueError(f"unknown quadrature mode {self.mode!r}")
-        if self.mode != "exact" and self.tolerance <= 0:
-            raise ValueError("tolerance must be positive for numeric modes")
 
     def with_truncation(self, bound) -> "QuadratureSpec":
-        return QuadratureSpec(
-            self.mode, self.order, self.points, self.tolerance, bound, self.budget
-        )
+        return QuadratureSpec(bound)
 
 
 @dataclass(frozen=True)
@@ -68,8 +52,6 @@ class SliceIntegral:
     n: int
     truncation: Union[Fraction, float]
     value: Union[Fraction, float]
-    error_estimate: float
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -449,107 +431,9 @@ class SliceEvaluator:
 
 
 def integrate_slice(g: SlicedFunction, spec: QuadratureSpec) -> SliceIntegral:
-    """Integrate g * 1{|g| <= M} over [0,1]^dims."""
-    if spec.mode == "exact":
-        value = SliceEvaluator(g).integral_at(spec.truncation)
-        return SliceIntegral(g.dims - 1, spec.truncation, value, 0.0, "exact")
-    if spec.mode == "tensor-gauss":
-        value, err = _tensor_gauss(g, spec)
-    elif spec.mode == "qmc":
-        value, err = _qmc(g, spec)
-    elif spec.mode == "adaptive":
-        value, err = _adaptive(g, spec)
-    else:  # pragma: no cover
-        raise ValueError(spec.mode)
-    return SliceIntegral(g.dims - 1, spec.truncation, value, err, spec.mode)
-
-
-def _eval_points(g: SlicedFunction, pts: np.ndarray, bound) -> np.ndarray:
-    from .exprs import evaluate
-
-    out = np.empty(len(pts))
-    for k, row in enumerate(pts):
-        v = float(evaluate(g.body, {i: float(x) for i, x in enumerate(row)}))
-        out[k] = v if abs(v) <= bound else 0.0
-    return out
-
-
-def _tensor_gauss(g: SlicedFunction, spec: QuadratureSpec):
-    def run(order):
-        if order**g.dims > spec.budget:
-            raise BudgetExceeded(f"tensor grid of order {order} exceeds budget")
-        x, w = np.polynomial.legendre.leggauss(order)
-        x = (x + 1) / 2
-        w = w / 2
-        grids = np.meshgrid(*([x] * g.dims), indexing="ij")
-        pts = np.stack([gr.ravel() for gr in grids], axis=1)
-        wgrids = np.meshgrid(*([w] * g.dims), indexing="ij")
-        weights = np.prod(np.stack([wg.ravel() for wg in wgrids], axis=1), axis=1)
-        vals = _eval_points(g, pts, spec.truncation)
-        return float(np.dot(weights, vals))
-
-    coarse = run(max(2, spec.order - 3))
-    fine = run(spec.order)
-    return fine, abs(fine - coarse)
-
-
-def _qmc(g: SlicedFunction, spec: QuadratureSpec):
-    from scipy.stats import qmc
-
-    m = max(4, int(np.log2(spec.points)))
-    if 2**m * g.dims > spec.budget:
-        raise BudgetExceeded("qmc sample count exceeds budget")
-    sampler = qmc.Sobol(d=g.dims, scramble=False, seed=0)
-    pts = sampler.random_base2(m=m)
-    vals = _eval_points(g, pts, spec.truncation)
-    half = len(vals) // 2
-    v_full = float(vals.mean())
-    v_half = float(vals[:half].mean())
-    return v_full, abs(v_full - v_half)
-
-
-def _adaptive(g: SlicedFunction, spec: QuadratureSpec):
-    """Recursive subdivision along the longest axis with a two-level
-    Gauss rule per region; deterministic processing order."""
-    x3, w3 = np.polynomial.legendre.leggauss(3)
-    x5, w5 = np.polynomial.legendre.leggauss(5)
-    evals = 0
-
-    def rule(lo, hi, xs, ws):
-        nonlocal evals
-        axes = [lo[i] + (hi[i] - lo[i]) * (xs + 1) / 2 for i in range(g.dims)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([gr.ravel() for gr in grids], axis=1)
-        evals += len(pts)
-        if evals > spec.budget:
-            raise BudgetExceeded("adaptive integration exceeded evaluation budget")
-        wgrids = np.meshgrid(
-            *[(hi[i] - lo[i]) * ws / 2 for i in range(g.dims)], indexing="ij"
-        )
-        weights = np.prod(np.stack([wg.ravel() for wg in wgrids], axis=1), axis=1)
-        vals = _eval_points(g, pts, spec.truncation)
-        return float(np.dot(weights, vals))
-
-    total = 0.0
-    err_total = 0.0
-    stack = [(np.zeros(g.dims), np.ones(g.dims), spec.tolerance)]
-    while stack:
-        lo, hi, tol = stack.pop()
-        coarse = rule(lo, hi, x3, w3)
-        fine = rule(lo, hi, x5, w5)
-        err = abs(fine - coarse)
-        if err <= tol or np.max(hi - lo) < 1e-6:
-            total += fine
-            err_total += err
-            continue
-        axis = int(np.argmax(hi - lo))
-        mid = (lo[axis] + hi[axis]) / 2
-        lo2, hi1 = lo.copy(), hi.copy()
-        lo2[axis] = mid
-        hi1[axis] = mid
-        stack.append((lo, hi1, tol / 2))
-        stack.append((lo2, hi, tol / 2))
-    return total, err_total
+    """Integrate g * 1{|g| <= M} over [0,1]^dims exactly."""
+    value = SliceEvaluator(g).integral_at(spec.truncation)
+    return SliceIntegral(g.dims - 1, spec.truncation, value)
 
 
 def integrate_indicator(u, dims: int) -> Fraction:

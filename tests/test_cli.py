@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from linfmeasure.cli import main
 
-BASICS = str(Path(__file__).resolve().parent.parent / "problems" / "basics.json")
+ROOT = Path(__file__).resolve().parent.parent
+BASICS = str(ROOT / "problems" / "basics.json")
 
 
 def run(capsys, *argv):
@@ -126,7 +130,7 @@ def test_slice_scan_csv(capsys, tmp_path):
     )
     assert code == 0
     lines = csv_file.read_text().strip().splitlines()
-    assert lines[0] == "n,M,value,error,mode"
+    assert lines[0] == "n,M,value"
     assert len(lines) == 1 + 7 * 3
     report = json.loads(out)
     # untruncated rows all read exactly 1
@@ -190,3 +194,76 @@ def test_reports_are_deterministic(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "section, value, argv, location",
+    [
+        ("verify", [{"type": "expect-measure", "value": "1"}],
+         ["verify"], "verify[0].set"),
+        ("verify", [{"type": "invariance", "shift": {}}],
+         ["verify"], "verify[0].function"),
+        ("schedules", {"quick": {"n_max": "abc"}},
+         ["integrate", "xy"], "schedules.quick.n_max"),
+        ("schedules", {"quick": {"epsilon": [1]}},
+         ["integrate", "xy"], "schedules.quick.epsilon"),
+        ("schedules", {"quick": {"n_values": 5}},
+         ["integrate", "xy"], "schedules.quick.n_values"),
+        ("schedules", {},
+         ["integrate", "xy", "--schedule", "n_max=abc"], "--schedule n_max"),
+    ],
+)
+def test_problem_errors_name_their_location(capsys, tmp_path, section, value, argv, location):
+    raw = json.loads(Path(BASICS).read_text())
+    raw[section] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, _, err = run(capsys, *argv, "-f", str(bad))
+    assert code == 2
+    assert err.startswith(f"error: {location}")
+
+
+@pytest.mark.parametrize(
+    "argv, available",
+    [
+        (["integrate", "xy", "--use-schedule", "nosuch"], "available: quick"),
+        (["slice-scan", "spike", "--n", "0..2", "--anchor", "nosuch"], "available: origin"),
+    ],
+)
+def test_unknown_named_option_is_usage_error(capsys, argv, available):
+    code, out, err = run(capsys, *argv, "-f", BASICS)
+    assert code == 2
+    assert out == ""
+    assert "'nosuch'" in err and available in err
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        raise BrokenPipeError
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["slice-scan", "spike", "-f", BASICS, "--n", "0..4"])
+    monkeypatch.undo()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_import_pulls_in_neither_numpy_nor_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys, linfmeasure, linfmeasure.cli; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

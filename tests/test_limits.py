@@ -12,6 +12,8 @@ from linfmeasure.intervals import INF, Interval
 from linfmeasure.library import spike_series, spike_support_indicator
 from linfmeasure.limits import (
     DEFAULT_SCHEDULE,
+    IntegralResult,
+    InvarianceReport,
     LimitSchedule,
     integrability_check,
     integrate_cell,
@@ -128,6 +130,7 @@ def test_invariance_under_fractional_shift():
     rep = invariance_check(XY_CELL, SparseVector.of({0: Fraction(1, 2)}), sched=QUICK)
     assert rep.passed
     assert rep.difference == 0
+    assert rep.tolerance == 2 * QUICK.epsilon
 
 
 def test_invariance_for_spike():
@@ -136,6 +139,16 @@ def test_invariance_for_spike():
     )
     assert rep.passed
     assert abs(rep.difference) < 1e-9
+
+
+def test_invariance_report_judges_difference_against_its_tolerance():
+    shift = SparseVector.of({0: Fraction(1, 2)})
+    direct = IntegralResult(value=Fraction(1), status="converged")
+    moved = IntegralResult(value=Fraction(1, 2), status="converged")
+    rep = InvarianceReport(shift, direct, moved, Fraction(1, 2), tolerance=1e-9)
+    assert rep.passed is False
+    loose = InvarianceReport(shift, direct, moved, Fraction(1, 2), tolerance=1.0)
+    assert loose.passed is True
 
 
 def test_anchor_independence_of_spike_limit():

@@ -182,32 +182,6 @@ def test_integrate_indicator_helper():
     assert integrate_indicator(u, 2) == Fraction(3, 4)
 
 
-def test_tensor_gauss_mode_close_to_exact():
-    f = mul(coord(0), coord(1))
-    g = slice_function(f, Anchor(), 1)
-    r = integrate_slice(g, QuadratureSpec(mode="tensor-gauss"))
-    assert abs(r.value - 0.25) < 1e-9
-    assert r.mode == "tensor-gauss"
-
-
-def test_qmc_mode_close_to_exact():
-    f = indicator(BoxUnion.of(Box.make({0: (0, Fraction(1, 2)), 1: (0, Fraction(1, 2))})))
-    g = slice_function(f, Anchor(), 1)
-    r = integrate_slice(g, QuadratureSpec(mode="qmc", points=2**12))
-    assert abs(r.value - 0.25) < 5e-3
-
-
-def test_adaptive_mode_close_to_exact():
-    g = slice_function(coord(0), Anchor(), 0)
-    r = integrate_slice(g, QuadratureSpec(mode="adaptive"))
-    assert abs(r.value - 0.5) < 1e-8
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        QuadratureSpec(mode="simpson")
-
-
 @given(
     st.integers(0, 8),
     st.fractions(min_value=1, max_value=200, max_denominator=4),
