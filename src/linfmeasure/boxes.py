@@ -14,10 +14,9 @@ measure (single hyperplanes are null).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import NotDisjointifiable
 from .intervals import (
@@ -178,7 +177,7 @@ class Box:
             object.__setattr__(self, "explicit", ())
             object.__setattr__(self, "tail", EMPTY_UNION)
             return
-        entries.sort()
+        entries.sort(key=lambda e: e[0])
         indices = [i for i, _ in entries]
         if len(set(indices)) != len(indices):
             raise ValueError("duplicate explicit coordinate index")
@@ -321,156 +320,114 @@ def coerce_union(value) -> BoxUnion:
     return BoxUnion(tuple(value))
 
 
-def _atoms_from_endpoints(points: Iterable[Fraction]) -> list:
-    """Degenerate points and open gaps between consecutive endpoints."""
-    pts = sorted(set(points))
-    atoms = []
-    for k, p in enumerate(pts):
-        atoms.append(Interval.point(p))
-        if k + 1 < len(pts):
-            atoms.append(Interval.open(p, pts[k + 1]))
-    return atoms
+def _unions_meet(u: IntervalUnion, v: IntervalUnion) -> bool:
+    """Whether two interval unions share a point (components are sorted,
+    nonempty and pairwise apart, so one merge walk decides it)."""
+    a, b = u.components, v.components
+    i = j = 0
+    while i < len(a) and j < len(b):
+        x, y = a[i], b[j]
+        if x.hi < y.lo or (x.hi == y.lo and not (x.hi_closed and y.lo_closed)):
+            i += 1
+        elif y.hi < x.lo or (y.hi == x.lo and not (y.hi_closed and x.lo_closed)):
+            j += 1
+        else:
+            return True
+    return False
 
 
-def _atom_inside(atom: Interval, constraint: IntervalUnion) -> bool:
-    # atom endpoints all appear in the global endpoint set, so membership of a
-    # representative point decides containment
-    if atom.lo == atom.hi:
-        rep = atom.lo
-    else:
-        rep = (atom.lo + atom.hi) / 2
-    return constraint.contains(rep)
+def _boxes_meet(a: Box, b: Box) -> bool:
+    """Whether two nonempty boxes share a point, decided coordinate by
+    coordinate without building their intersection."""
+    if a.tail != b.tail and not _unions_meet(a.tail, b.tail):
+        return False
+    explicit = dict(a.explicit)
+    for i, c in b.explicit:
+        if not _unions_meet(explicit.pop(i, a.tail), c):
+            return False
+    return all(_unions_meet(c, b.tail) for c in explicit.values())
 
 
-def _overlap_components(boxes: list) -> list:
-    """Connected components of the pairwise-overlap graph."""
-    n = len(boxes)
-    parent = list(range(n))
+def _box_minus(b: Box, a: Box) -> list:
+    """Disjoint boxes whose union is b minus a, for boxes with one tail.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not boxes[i].intersect(boxes[j]).is_empty:
-                parent[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(boxes[i])
-    return list(groups.values())
-
-
-def _disjointify_component(boxes: list) -> list:
-    tails = {b.tail for b in boxes}
-    if len(tails) != 1:
-        raise NotDisjointifiable(
-            "overlapping boxes with different tails have no finite disjoint refinement"
-        )
-    tail = boxes[0].tail
-    coords = sorted(set().union(*(set(b.coords) for b in boxes)))
-    if not coords:
-        return [boxes[0]]  # identical up to canonical form
-    atom_lists = []
-    for c in coords:
-        endpoints = []
-        for b in boxes:
-            endpoints.extend(b.constraint(c).endpoints())
-        atoms = [
-            a
-            for a in _atoms_from_endpoints(endpoints)
-            if any(_atom_inside(a, b.constraint(c)) for b in boxes)
-        ]
-        atom_lists.append(atoms)
+    Walking the explicit coordinates c_1 < c_2 < ..., piece j keeps the
+    points of b that lie in a on c_1 .. c_{j-1} and outside a on c_j; on
+    every other coordinate a's constraint is the shared tail, which holds
+    all of b's.  So b minus a has at most one piece per explicit coordinate.
+    """
+    if not _boxes_meet(b, a):
+        return [b]
+    tail = b.tail
+    current = dict(b.explicit)
+    other = dict(a.explicit)
     pieces = []
-    for combo in itertools.product(*atom_lists):
-        if any(
-            all(_atom_inside(a, b.constraint(c)) for c, a in zip(coords, combo))
-            for b in boxes
-        ):
-            pieces.append(
-                Box(tuple((c, IntervalUnion.of(a)) for c, a in zip(coords, combo)), tail)
-            )
-    return _merge_pieces(pieces, coords)
-
-
-def _merge_pieces(pieces: list, coords: list) -> list:
-    """Greedily merge disjoint pieces differing in a single coordinate."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                a, b = pieces[i], pieces[j]
-                diff = [c for c in coords if a.constraint(c) != b.constraint(c)]
-                if len(diff) == 1:
-                    c = diff[0]
-                    merged_constraint = a.constraint(c).union(b.constraint(c))
-                    entries = tuple(
-                        (k, merged_constraint if k == c else a.constraint(k))
-                        for k in coords
-                    )
-                    merged = Box(entries, a.tail)
-                    pieces[i] = merged
-                    del pieces[j]
-                    changed = True
-                    break
-            if changed:
-                break
+    for i in sorted(current.keys() | other.keys()):
+        mine, theirs = current.get(i, tail), other.get(i, tail)
+        rest = mine.difference(theirs)
+        if rest.components:
+            pieces.append(Box(tuple({**current, i: rest}.items()), tail))
+            current[i] = mine.intersect(theirs)
     return pieces
 
 
 def union_disjointify(u: BoxUnion) -> BoxUnion:
     """Equivalent pairwise-disjoint refinement (exact set equality).
 
-    Only coordinates explicit in some member are split.  Overlapping members
-    must share their tail constraint; otherwise no finite refinement exists
-    and :class:`NotDisjointifiable` is raised.
+    Members are taken in order; each is cut by box difference against the
+    pieces kept so far that share its tail, so only coordinates explicit in
+    some member are split.  Members that meet with different tails have no
+    finite disjoint refinement: :class:`NotDisjointifiable` is raised.
     """
     if len(u.boxes) <= 1:
         return u
-    boxes = list(dict.fromkeys(u.boxes))  # dedupe, keep order
     out: list = []
-    for component in _overlap_components(boxes):
-        if len(component) == 1:
-            out.extend(component)
-        else:
-            out.extend(_disjointify_component(component))
+    for b in dict.fromkeys(u.boxes):  # dedupe, keep order
+        parts = [b]
+        for p in out:
+            if p.tail != b.tail:
+                if _boxes_meet(p, b):
+                    raise NotDisjointifiable(
+                        "overlapping boxes with different tails have no finite "
+                        "disjoint refinement"
+                    )
+            else:
+                parts = [q for part in parts for q in _box_minus(part, p)]
+        out.extend(parts)
     return BoxUnion(tuple(out))
 
 
-def _inclusion_exclusion_measure(boxes: list) -> ExtendedRational:
-    total = Fraction(0)
-    n = len(boxes)
-    for r in range(1, n + 1):
-        sign = 1 if r % 2 == 1 else -1
-        for subset in itertools.combinations(range(n), r):
-            inter = boxes[subset[0]]
-            for k in subset[1:]:
-                inter = inter.intersect(boxes[k])
-            m = inter.measure()
-            if m == INF:
-                return INF
-            total += sign * m
-    return total
+def _tail_class(tail: IntervalUnion) -> IntervalUnion:
+    """The closure of the tail's nondegenerate components: two tails have
+    the same class exactly when they differ in finitely many points."""
+    return IntervalUnion(
+        tuple(Interval._canonical(c.lo, c.hi) for c in tail.components if c.lo < c.hi)
+    )
 
 
 def union_measure(u: BoxUnion) -> ExtendedRational:
-    """Exact measure of a finite union of boxes."""
-    if u.is_empty:
-        return Fraction(0)
-    if any(b.measure() == INF for b in u.boxes):
-        return INF
-    try:
-        pieces = union_disjointify(u)
-    except NotDisjointifiable:
-        return _inclusion_exclusion_measure(list(dict.fromkeys(u.boxes)))
-    total = Fraction(0)
-    for b in pieces.boxes:
+    """Exact measure of a finite union of boxes, by the tail law.
+
+    Null boxes (tail shorter than 1, or a null explicit constraint) add
+    nothing, and a box with a longer tail makes the union infinite.  The
+    rest have tails of length exactly 1, and two of them whose tails are not
+    equal up to finitely many points meet in a tail shorter than 1, a null
+    set.  So the measure is a sum over tail classes, each the measure of a
+    disjoint refinement after the class's closed tail is swapped in (the
+    swap changes each box by a null set only).
+    """
+    classes: dict = {}
+    for b in u.boxes:
         m = b.measure()
         if m == INF:
             return INF
-        total += m
+        if m:
+            classes.setdefault(_tail_class(b.tail), []).append(b)
+    total = Fraction(0)
+    for tail, members in classes.items():
+        same = BoxUnion(
+            tuple(b if b.tail == tail else Box(b.explicit, tail) for b in members)
+        )
+        for piece in union_disjointify(same).boxes:
+            total += piece.measure()
     return total

@@ -125,15 +125,24 @@ def _union(value: Any, where: str) -> IntervalUnion:
     return IntervalUnion.of(*comps)
 
 
+def _coordinate(key: str, seen: dict, where: str) -> int:
+    """The coordinate a key names, which must not already be in ``seen``:
+    keys such as "0" and "00" name the same coordinate."""
+    try:
+        idx = int(key)
+    except ValueError:
+        raise ProblemError(f"{where}: coordinate {key!r} is not an integer")
+    if idx in seen:
+        raise ProblemError(f"{where}: key {key!r} names coordinate {idx} again")
+    return idx
+
+
 def _box(value: Any, where: str) -> Box:
     if not isinstance(value, dict):
         raise ProblemError(f"{where}: expected a box object")
     explicit = {}
     for key, u in (value.get("explicit") or {}).items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise ProblemError(f"{where}.explicit: coordinate {key!r} is not an integer")
+        idx = _coordinate(key, explicit, f"{where}.explicit")
         if idx < 0:
             raise ProblemError(f"{where}.explicit: coordinate {idx} is negative")
         explicit[idx] = _union(u, f"{where}.explicit[{key}]")
@@ -146,11 +155,7 @@ def _sparse(value: Any, where: str) -> SparseVector:
         raise ProblemError(f"{where}: expected an object of coordinate -> rational")
     entries = {}
     for key, v in value.items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise ProblemError(f"{where}: coordinate {key!r} is not an integer")
-        entries[idx] = _rat(v, f"{where}[{key}]")
+        entries[_coordinate(key, entries, where)] = _rat(v, f"{where}[{key}]")
     return SparseVector.of(entries)
 
 

@@ -277,6 +277,26 @@ class IntervalUnion:
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(self.components + other.components)
 
+    def difference(self, other: "IntervalUnion") -> "IntervalUnion":
+        """Exact set difference; an end removed by ``other`` flips its flag."""
+        out = []
+        for a in self.components:
+            lo, lo_closed, hi, hi_closed = a.lo, a.lo_closed, a.hi, a.hi_closed
+            for b in other.components:  # sorted, so the cut moves rightwards
+                if b.hi < lo or (b.hi == lo and not (b.hi_closed and lo_closed)):
+                    continue  # b lies left of what remains of a
+                if b.lo > hi or (b.lo == hi and not (b.lo_closed and hi_closed)):
+                    break  # b and all later components lie right of a
+                if b.lo >= lo:
+                    out.append(Interval(lo, b.lo, lo_closed, not b.lo_closed))
+                if b.hi > hi or (b.hi == hi and (b.hi_closed or not hi_closed)):
+                    lo = None  # b covers the rest of a
+                    break
+                lo, lo_closed = b.hi, not b.hi_closed
+            if lo is not None:
+                out.append(Interval(lo, hi, lo_closed, hi_closed))
+        return IntervalUnion(tuple(out))
+
     def translate(self, c: RationalLike) -> "IntervalUnion":
         return IntervalUnion(tuple(i.translate(c) for i in self.components))
 

@@ -55,6 +55,55 @@ def inclusion_exclusion_volume(
     return total
 
 
+def _tail_closure(tail: Sequence[Tuple[Fraction, Fraction, bool, bool]]) -> list:
+    """Closures of the nondegenerate intervals of a tail, merged where they
+    meet: equal for two tails exactly when they differ in finitely many
+    points."""
+    merged: list = []
+    for lo, hi, _, _ in sorted(tail):
+        if lo == hi:
+            continue
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def tail_law_union_volume(
+    boxes: List[Tuple[Dict[int, Tuple[Fraction, Fraction]], list]]
+) -> Fraction | float:
+    """Measure of a finite union of boxes by the 0/1/infinity tail law.
+
+    Each box is (explicit, tail): explicit maps a coordinate to one interval
+    (lo, hi), and tail lists disjoint intervals (lo, hi, lo_closed,
+    hi_closed) whose closures merge into one interval.  A box with a null
+    explicit side or a tail shorter than 1 is null; any other box with a
+    longer tail makes the union infinite.  Unit tails with different
+    closures meet in a tail shorter than 1, a null set, so the volume is a
+    sum over closures, each by inclusion-exclusion with the closed tail
+    standing in on every coordinate a member leaves to its tail.
+    """
+    classes: Dict[Tuple[Fraction, Fraction], list] = {}
+    for explicit, tail in boxes:
+        side = Fraction(1)
+        for lo, hi in explicit.values():
+            side *= hi - lo
+        tail_length = sum((hi - lo for lo, hi, _, _ in tail), Fraction(0))
+        if side == 0 or tail_length < 1:
+            continue
+        if tail_length > 1:
+            return INF
+        (closure,) = _tail_closure(tail)
+        classes.setdefault(closure, []).append(explicit)
+    total = Fraction(0)
+    for closure, members in classes.items():
+        coords = sorted(set().union(*members))
+        filled = [{c: e.get(c, closure) for c in coords} for e in members]
+        total += inclusion_exclusion_volume(filled, coords)
+    return total
+
+
 def monte_carlo_volume(
     boxes: List[Dict[int, Tuple[float, float]]],
     coords: Sequence[int],
@@ -122,6 +171,44 @@ def product_sets_pairwise_disjoint(
         if meet:
             return False
     return True
+
+
+def _interval_contains(interval: tuple, x: Fraction) -> bool:
+    lo, hi, lo_closed, hi_closed = interval
+    return (lo < x or (x == lo and lo_closed)) and (x < hi or (x == hi and hi_closed))
+
+
+def product_sets_union_equal(
+    first: List[Dict[int, list]], second: List[Dict[int, list]], coords: Sequence[int]
+) -> bool:
+    """Whether two finite unions of product sets hold the same points.
+
+    Each set maps every coordinate in ``coords`` to a list of intervals
+    (lo, hi, lo_closed, hi_closed).  On each coordinate membership is
+    constant at every endpoint and between consecutive endpoints, and no set
+    reaches past the outermost ones, so comparing membership over the grid
+    of endpoints and midpoints decides equality exactly.  The grid is
+    evaluated with numpy.
+    """
+    axes = []
+    for c in coords:
+        ends = sorted({e for s in first + second for iv in s[c] for e in iv[:2]})
+        mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        axes.append(sorted(ends + mids))
+
+    def members(sets):
+        hit = np.zeros(tuple(len(a) for a in axes), dtype=bool)
+        for s in sets:
+            inside = np.ones_like(hit)
+            for k, (c, pts) in enumerate(zip(coords, axes)):
+                shape = [1] * len(axes)
+                shape[k] = len(pts)
+                on_axis = [any(_interval_contains(iv, x) for iv in s[c]) for x in pts]
+                inside &= np.array(on_axis, dtype=bool).reshape(shape)
+            hit |= inside
+        return hit
+
+    return bool(np.array_equal(members(first), members(second)))
 
 
 # ---------------------------------------------------------------------------

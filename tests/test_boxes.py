@@ -17,10 +17,18 @@ from linfmeasure.boxes import (
     union_measure,
 )
 from linfmeasure.errors import NotDisjointifiable
-from linfmeasure.intervals import INF, IntervalUnion
+from linfmeasure.exprs import indicator
+from linfmeasure.intervals import INF, Interval, IntervalUnion
+from linfmeasure.limits import integrate_global
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import box_measure_oracle, inclusion_exclusion_volume
+from oracles import (
+    box_measure_oracle,
+    inclusion_exclusion_volume,
+    product_sets_pairwise_disjoint,
+    product_sets_union_equal,
+    tail_law_union_volume,
+)
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=16)
 
@@ -194,3 +202,202 @@ def test_disjointify_preserves_total(boxes):
     for i, x in enumerate(d.boxes):
         for y in d.boxes[i + 1:]:
             assert x.intersect(y).measure() == 0
+
+
+def test_duplicate_explicit_index_rejected():
+    with pytest.raises(ValueError, match="duplicate explicit coordinate index"):
+        Box(((0, (0, Fraction(1, 2))), (0, (0, Fraction(1, 3)))))
+    with pytest.raises(ValueError, match="duplicate explicit coordinate index"):
+        Box(((1, (0, Fraction(1, 2))), (1, (0, Fraction(1, 2)))))
+
+
+# Random unions for the differential tests.  Endpoints sit on a coarse grid
+# so that ends touch often; flags are random.  A tail may be split at its
+# midpoint, which it then misses: the same class as the unsplit tail.
+
+SIXTHS = [Fraction(k, 6) for k in range(10)]
+THIRDS = [Fraction(k, 3) for k in range(4)]
+
+
+def _raw(iv: Interval) -> tuple:
+    return (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
+
+
+@st.composite
+def raw_intervals(draw, grid):
+    lo, hi = sorted((draw(st.sampled_from(grid)), draw(st.sampled_from(grid))))
+    return (lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def raw_tails(draw):
+    """Unit tails (twice as likely), null tails and tails longer than 1."""
+    lo = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2)]))
+    length = draw(st.sampled_from([Fraction(1), Fraction(1), Fraction(1, 2), Fraction(3, 2)]))
+    lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
+    if draw(st.booleans()):
+        mid = lo + length / 2
+        return [(lo, mid, lo_closed, False), (mid, lo + length, False, hi_closed)]
+    return [(lo, lo + length, lo_closed, hi_closed)]
+
+
+@st.composite
+def mixed_tail_unions(draw):
+    """(boxes, raw specs) for up to 6 boxes over up to 6 coordinates."""
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        coords = draw(st.lists(st.integers(0, 5), max_size=3, unique=True))
+        specs.append(({c: draw(raw_intervals(SIXTHS)) for c in coords}, draw(raw_tails())))
+    boxes = [
+        Box.make(
+            {c: Interval(*iv) for c, iv in explicit.items()},
+            tail=IntervalUnion.of(*(Interval(*t) for t in tail)),
+        )
+        for explicit, tail in specs
+    ]
+    return boxes, specs
+
+
+@given(mixed_tail_unions())
+@settings(max_examples=200, deadline=None)
+def test_union_measure_matches_tail_law_oracle(case):
+    boxes, specs = case
+    oracle = tail_law_union_volume(
+        [({c: iv[:2] for c, iv in explicit.items()}, tail) for explicit, tail in specs]
+    )
+    assert union_measure(BoxUnion.of(*boxes)) == oracle
+
+
+@given(mixed_tail_unions())
+@settings(max_examples=200, deadline=None)
+def test_disjointify_rejects_exactly_meeting_different_tails(case):
+    boxes, _ = case
+    members = [b for b in dict.fromkeys(boxes) if not b.is_empty]
+
+    def as_sets(b, coords):
+        sets = {c: [_raw(iv) for iv in b.constraint(c).components] for c in coords}
+        sets["tail"] = [_raw(iv) for iv in b.tail.components]
+        return sets
+
+    def meet(a, b):
+        coords = set(a.coords) | set(b.coords)
+        return not product_sets_pairwise_disjoint([as_sets(a, coords), as_sets(b, coords)])
+
+    clash = any(
+        a.tail != b.tail and meet(a, b)
+        for i, a in enumerate(members)
+        for b in members[i + 1:]
+    )
+    if clash:
+        with pytest.raises(NotDisjointifiable):
+            union_disjointify(BoxUnion.of(*boxes))
+    else:
+        union_disjointify(BoxUnion.of(*boxes))
+
+
+SAME_TAILS = [
+    [(Fraction(0), Fraction(1), True, True)],
+    [(Fraction(0), Fraction(1), True, False)],
+    [(Fraction(1, 3), Fraction(1), False, True)],
+    [(Fraction(0), Fraction(1, 3), True, True), (Fraction(2, 3), Fraction(1), True, True)],
+    [(Fraction(0), Fraction(1, 2), True, False), (Fraction(1, 2), Fraction(1), False, True)],
+]
+
+
+@st.composite
+def same_tail_unions(draw):
+    """(tail, explicit specs): up to 6 boxes over up to 6 coordinates, each
+    explicit constraint one or two intervals on the thirds."""
+    tail = draw(st.sampled_from(SAME_TAILS))
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        coords = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+        specs.append({
+            c: draw(st.lists(raw_intervals(THIRDS), min_size=1, max_size=2)) for c in coords
+        })
+    return tail, specs
+
+
+@given(same_tail_unions())
+@settings(max_examples=100, deadline=None)
+def test_same_tail_disjointify_is_an_exact_partition(case):
+    tail, specs = case
+    tail_union = IntervalUnion.of(*(Interval(*t) for t in tail))
+    u = BoxUnion.of(*(
+        Box.make(
+            {c: IntervalUnion.of(*(Interval(*iv) for iv in ivs)) for c, ivs in explicit.items()},
+            tail=tail_union,
+        )
+        for explicit in specs
+    ))
+    pieces = union_disjointify(u).boxes
+    coords = sorted(set().union(*specs))
+    assert all(p.tail == tail_union and set(p.coords) <= set(coords) for p in pieces)
+    as_sets = [
+        {c: [_raw(iv) for iv in p.constraint(c).components] for c in coords} for p in pieces
+    ]
+    inputs = [{c: explicit.get(c, tail) for c in coords} for explicit in specs]
+    assert product_sets_pairwise_disjoint(as_sets)
+    assert product_sets_union_equal(inputs, as_sets, coords)
+    if tail_union.total_length == 1:
+        total = sum((p.measure() for p in pieces), Fraction(0))
+        assert total == union_measure(u)
+
+
+# Former cliffs: sizes at which the atom grid, its merge pass or the 2^k
+# inclusion-exclusion fallback did not finish in minutes.  Exact values only.
+
+
+def _two_overlapping(dims: int) -> list:
+    """Sides of two boxes, [0,2/3] and [1/3,1] on coordinates 0..dims-1."""
+    return [
+        {c: (Fraction(0), Fraction(2, 3)) for c in range(dims)},
+        {c: (Fraction(1, 3), Fraction(1)) for c in range(dims)},
+    ]
+
+
+def test_two_boxes_overlapping_on_twelve_coordinates():
+    sides = _two_overlapping(12)
+    u = BoxUnion.of(*(Box.make(s) for s in sides))
+    oracle = inclusion_exclusion_volume(sides, range(12))
+    assert oracle == 2 * Fraction(2, 3) ** 12 - Fraction(1, 3) ** 12
+    assert union_measure(u) == oracle
+    pieces = union_disjointify(u).boxes
+    assert sum((p.measure() for p in pieces), Fraction(0)) == oracle
+
+
+def test_sixteen_mixed_tail_boxes():
+    # three unit tails and one null tail; every side and tail holds 1/2
+    thirds, halves = (Fraction(1, 3), Fraction(4, 3)), (Fraction(1, 2), Fraction(3, 2))
+    tails = [(0, 1), thirds, halves, (0, Fraction(1, 2))]
+    specs = [
+        (
+            {j % 3: (Fraction(1 + j % 5, 12), Fraction(7 + j % 5, 12))},
+            [(*tails[j % 4], True, True)],
+        )
+        for j in range(16)
+    ]
+    u = BoxUnion.of(*(Box.make(explicit, tail=tail[0][:2]) for explicit, tail in specs))
+    assert union_measure(u) == tail_law_union_volume(specs)
+
+
+def _eighths(lo: int, hi: int) -> tuple:
+    return Fraction(lo, 8), Fraction(hi, 8)
+
+
+def test_four_boxes_over_four_coordinates():
+    sides = [
+        {0: _eighths(0, 6), 1: _eighths(1, 5), 2: _eighths(2, 8), 3: _eighths(0, 4)},
+        {0: _eighths(2, 8), 1: _eighths(0, 4), 2: _eighths(0, 6), 3: _eighths(2, 7)},
+        {0: _eighths(1, 5), 1: _eighths(2, 8), 2: _eighths(1, 4), 3: _eighths(1, 6)},
+        {c: _eighths(3, 7) for c in range(4)},
+    ]
+    u = BoxUnion.of(*(Box.make(s) for s in sides))
+    assert union_measure(u) == inclusion_exclusion_volume(sides, range(4))
+
+
+def test_integrate_indicator_of_union_overlapping_on_three_coordinates():
+    sides = _two_overlapping(3)
+    result = integrate_global(indicator(BoxUnion.of(*(Box.make(s) for s in sides))))
+    assert result.status == "converged"
+    assert result.value == inclusion_exclusion_volume(sides, range(3)) == Fraction(5, 9)

@@ -267,3 +267,29 @@ def test_import_pulls_in_neither_numpy_nor_scipy():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "section, name, value, argv, location",
+    [
+        ("sets", "clash", {"explicit": {"0": [["0", "1/2"]], "00": [["0", "1/4"]]}},
+         ["measure", "clash"], "sets.clash[0].explicit"),
+        ("verify", None, [{"type": "invariance", "function": "one-on-cell",
+                           "shift": {"0": "1/2", "+0": "1/4"}}],
+         ["verify"], "verify[0].shift"),
+    ],
+)
+def test_keys_naming_one_coordinate_are_rejected(
+    capsys, tmp_path, section, name, value, argv, location
+):
+    raw = json.loads(Path(BASICS).read_text())
+    if name is None:
+        raw[section] = value
+    else:
+        raw[section][name] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run(capsys, *argv, "-f", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {location}")
+    assert "names coordinate 0 again" in err

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linfmeasure.intervals import (
     EMPTY_UNION,
@@ -147,3 +147,52 @@ def test_union_equality_and_hash_agree(a, b):
     if a == b:
         assert hash(a) == hash(b)
     assert a != a.components  # a union never equals a bare tuple
+
+
+quarters = st.sampled_from([Fraction(k, 4) for k in range(-2, 7)])
+
+
+@st.composite
+def raw_interval_lists(draw):
+    """Up to four intervals (lo, hi, lo_closed, hi_closed) on the quarter
+    grid, so ends often touch or coincide."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        lo, hi = sorted((draw(quarters), draw(quarters)))
+        out.append((lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return out
+
+
+def _member(raw, x) -> bool:
+    return any(
+        (lo < x or (x == lo and lc)) and (x < hi or (x == hi and hc))
+        for lo, hi, lc, hc in raw
+    )
+
+
+@given(raw_interval_lists(), raw_interval_lists())
+@settings(max_examples=300)
+def test_difference_matches_pointwise_membership(a_raw, b_raw):
+    a = IntervalUnion.of(*(Interval(*iv) for iv in a_raw))
+    b = IntervalUnion.of(*(Interval(*iv) for iv in b_raw))
+    d = a.difference(b)
+    ends = sorted({e for lo, hi, _, _ in a_raw + b_raw for e in (lo, hi)})
+    points = ends + [(p + q) / 2 for p, q in zip(ends, ends[1:])]
+    points += [ends[0] - 1, ends[-1] + 1] if ends else [Fraction(0)]
+    for x in points:
+        assert d.contains(x) == (_member(a_raw, x) and not _member(b_raw, x)), x
+    assert d == IntervalUnion(d.components)  # canonical: rebuilding changes nothing
+    assert d.total_length == a.total_length - a.intersect(b).total_length
+
+
+def test_difference_boundary_cases():
+    unit = UNIT_UNION
+    half_open = IntervalUnion.of(Interval(Fraction(1, 2), Fraction(1), False, True))
+    assert unit.difference(half_open) == IntervalUnion.of(Interval.closed(0, Fraction(1, 2)))
+    point = IntervalUnion.of(Interval.point(Fraction(1, 2)))
+    split = unit.difference(point)
+    assert not split.contains(Fraction(1, 2)) and len(split.components) == 2
+    assert split.difference(unit) == EMPTY_UNION
+    assert unit.difference(EMPTY_UNION) == unit and EMPTY_UNION.difference(unit) == EMPTY_UNION
+    ends = IntervalUnion.of(Interval.open(0, 1))
+    assert unit.difference(ends) == IntervalUnion.of(Interval.point(0), Interval.point(1))
