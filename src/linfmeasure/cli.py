@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from . import __version__
 from .boxes import Box, BoxUnion, LatticeVector, SparseVector
@@ -95,6 +95,22 @@ def _required(task: dict, key: str, where: str) -> Any:
     return task[key]
 
 
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ProblemError(f"{where}: expected an object")
+    return value
+
+
+def _list(task: dict, key: str, where: str, default: tuple = ()) -> Sequence:
+    """task[key], which must be a list; default when the key is missing."""
+    if key not in task:
+        return default
+    value = task[key]
+    if not isinstance(value, list):
+        raise ProblemError(f"{where}.{key}: expected a list, got {value!r}")
+    return value
+
+
 def _convert(convert, value: Any, where: str) -> Any:
     """int(value) or float(value), with a located error instead of a traceback."""
     try:
@@ -141,7 +157,7 @@ def _box(value: Any, where: str) -> Box:
     if not isinstance(value, dict):
         raise ProblemError(f"{where}: expected a box object")
     explicit = {}
-    for key, u in (value.get("explicit") or {}).items():
+    for key, u in _object(value.get("explicit") or {}, f"{where}.explicit").items():
         idx = _coordinate(key, explicit, f"{where}.explicit")
         if idx < 0:
             raise ProblemError(f"{where}.explicit: coordinate {idx} is negative")
@@ -167,24 +183,24 @@ class Problem:
             raise ProblemError("top level: expected a JSON object")
         self.raw = raw
         self.sets: Dict[str, BoxUnion] = {}
-        for name, value in (raw.get("sets") or {}).items():
+        for name, value in self._section("sets"):
             boxes = value if isinstance(value, list) else [value]
             self.sets[name] = BoxUnion.of(
                 *[_box(b, f"sets.{name}[{k}]") for k, b in enumerate(boxes)]
             )
         self.functions: Dict[str, Expr] = {}
-        for name, value in (raw.get("functions") or {}).items():
+        for name, value in self._section("functions"):
             self.functions[name] = self._expr(value, f"functions.{name}")
         self.anchors: Dict[str, Anchor] = {}
-        for name, value in (raw.get("anchors") or {}).items():
+        for name, value in self._section("anchors"):
+            value = _object(value, f"anchors.{name}")
             self.anchors[name] = Anchor(
                 entries=_sparse(value.get("entries", {}), f"anchors.{name}.entries")
             )
         self.splits: Dict[str, CoordinateSplit] = {}
-        for name, value in (raw.get("splits") or {}).items():
+        for name, value in self._section("splits"):
             where = f"splits.{name}"
-            if not isinstance(value, dict):
-                raise ProblemError(f"{where}: expected an object")
+            _object(value, where)
             try:
                 self.splits[name] = CoordinateSplit(
                     kind=value.get("kind", "finite"),
@@ -193,8 +209,12 @@ class Problem:
             except ValueError as exc:
                 raise ProblemError(f"{where}: {exc}")
         self.schedules: Dict[str, LimitSchedule] = {}
-        for name, value in (raw.get("schedules") or {}).items():
+        for name, value in self._section("schedules"):
             self.schedules[name] = _schedule_from_dict(value, f"schedules.{name}")
+
+    def _section(self, key: str):
+        """The (name, value) entries of a top-level section of named items."""
+        return _object(self.raw.get(key) or {}, key).items()
 
     def set_union(self, name: str, where: str = "") -> BoxUnion:
         return _lookup(self.sets, "set", name, where)
@@ -223,14 +243,14 @@ class Problem:
             return Sum(
                 tuple(
                     self._expr(t, f"{where}.terms[{k}]")
-                    for k, t in enumerate(value.get("terms", []))
+                    for k, t in enumerate(_list(value, "terms", where))
                 )
             )
         if op == "prod":
             return Prod(
                 tuple(
                     self._expr(t, f"{where}.factors[{k}]")
-                    for k, t in enumerate(value.get("factors", []))
+                    for k, t in enumerate(_list(value, "factors", where))
                 )
             )
         if op == "scale":
@@ -243,11 +263,13 @@ class Problem:
             if not isinstance(idx, int) or idx < 0:
                 raise ProblemError(f"{where}.index: expected a nonnegative integer")
             pieces = []
-            for k, p in enumerate(value.get("pieces", [])):
-                iu = _union(p.get("set"), f"{where}.pieces[{k}].set")
+            for k, p in enumerate(_list(value, "pieces", where)):
+                at = f"{where}.pieces[{k}]"
+                p = _object(p, at)
+                iu = _union(p.get("set"), f"{at}.set")
                 coeffs = tuple(
-                    _rat(c, f"{where}.pieces[{k}].coeffs[{j}]")
-                    for j, c in enumerate(p.get("coeffs", ["1"]))
+                    _rat(c, f"{at}.coeffs[{j}]")
+                    for j, c in enumerate(_list(p, "coeffs", at, ("1",)))
                 )
                 pieces.append((iu, coeffs))
             return Piecewise(idx, tuple(pieces))
@@ -528,7 +550,7 @@ def _run_verify_task(problem: Problem, task: Any, where: str) -> dict:
         f = problem.function(name, f"{where}.function")
         splits = [
             _lookup(problem.splits, "split", s, f"{where}.splits")
-            for s in task.get("splits", [])
+            for s in _list(task, "splits", where)
         ]
         rep = fubini_check(f, splits)
         return {
@@ -550,7 +572,7 @@ def _run_verify_task(problem: Problem, task: Any, where: str) -> dict:
         first = _sparse(task.get("first", {}), f"{where}.first")
         second = _sparse(task.get("second", {}), f"{where}.second")
         samples = []
-        for k, s in enumerate(task.get("samples", [])):
+        for k, s in enumerate(_list(task, "samples", where)):
             u = problem._region(s, f"{where}.samples[{k}]")
             samples.extend(u.boxes)
         rep = compatibility_check(first, second, samples)

@@ -324,6 +324,45 @@ def _slice(f: Expr, d: SparseVector, a: SparseVector, n: int) -> Expr:
     raise TypeError(f"unknown expression node {type(f).__name__}")
 
 
+def slice_horizon(f: Expr, anchor: Anchor) -> Optional[int]:
+    """An h with slice_function(f, anchor, n).body the same for every
+    n >= h, or None when no such h is known.
+
+    h is the largest coordinate that the tree or the anchor names:
+    coordinate and piecewise indices, explicit box coordinates, translation
+    shifts, and the anchor's entries and cell origin.  Past it, a slice
+    only adds free coordinates, each a unit-interval factor of 1.  A
+    ``Series`` brings in new terms as n grows, and a box tail other than
+    [0,1] constrains every new coordinate, so both give None.
+    """
+    h = _horizon(f)
+    if h is None:
+        return None
+    return max(h, anchor.entries.max_index, anchor.cell_origin.max_index, 0)
+
+
+def _horizon(f: Expr) -> Optional[int]:
+    if isinstance(f, Const):
+        return -1
+    if isinstance(f, (Coord, Piecewise)):
+        return f.index
+    if isinstance(f, (Sum, Prod)):
+        parts = [_horizon(t) for t in (f.terms if isinstance(f, Sum) else f.factors)]
+        return None if None in parts else max(parts, default=-1)
+    if isinstance(f, (Scale, Clamp, Abs)):
+        return _horizon(f.arg)
+    if isinstance(f, Indicator):
+        if any(b.tail != UNIT_UNION for b in f.region.boxes):
+            return None
+        return max((i for b in f.region.boxes for i in b.coords), default=-1)
+    if isinstance(f, Translate):
+        h = _horizon(f.arg)
+        return None if h is None else max(h, f.shift.max_index)
+    if isinstance(f, Series):
+        return None
+    raise TypeError(f"unknown expression node {type(f).__name__}")
+
+
 def _slice_box(b: Box, d: SparseVector, a: SparseVector, n: int) -> Optional[Box]:
     """Restrict a box constraint to coordinates 0..n, or None if the anchor
     falls outside the constraint on some later coordinate."""

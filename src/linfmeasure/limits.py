@@ -11,7 +11,7 @@ the signed one, sharing the per-slice piece decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -23,6 +23,7 @@ from .exprs import (
     Expr,
     ZERO_ANCHOR,
     slice_function,
+    slice_horizon,
     support,
     translate,
 )
@@ -108,20 +109,28 @@ class _InnerLimit:
 
 class _SliceCache:
     """Lazily slices and normalizes a function at increasing n, so every
-    truncation bound reuses the per-slice normalization."""
+    truncation bound reuses the per-slice normalization.
+
+    Past the function's slice horizon every slice has the same body and the
+    same integrals (each free coordinate is a unit-interval factor of 1), so
+    all n beyond it share the evaluator built at the horizon.
+    """
 
     def __init__(self, f: Expr, anchor: Anchor, n_values: Sequence[int]):
         self.f = f
         self.anchor = anchor
         self.n_values = tuple(n_values)
+        self.horizon = slice_horizon(f, anchor)
         self._evaluators: dict = {}
 
+    def _key(self, n: int) -> int:
+        return n if self.horizon is None else min(n, self.horizon)
+
     def evaluator_at(self, n: int) -> SliceEvaluator:
-        if n not in self._evaluators:
-            self._evaluators[n] = SliceEvaluator(
-                slice_function(self.f, self.anchor, n)
-            )
-        return self._evaluators[n]
+        k = self._key(n)
+        if k not in self._evaluators:
+            self._evaluators[k] = SliceEvaluator(slice_function(self.f, self.anchor, k))
+        return self._evaluators[k]
 
 
 def _inner_limit(
@@ -167,6 +176,32 @@ def _inner_limit(
     )
 
 
+def _inner_limits(cache: _SliceCache, sched: LimitSchedule, M_values):
+    """(bound, inner limit or None) for each bound in turn.
+
+    A bound at or above every slice's ``total_bound`` truncates nothing, so
+    the first such bound runs the untruncated inner limit and every later
+    one reuses it, its trace relabelled with the later bound.  The cap is
+    read only after a limit came back, when the whole n schedule is built.
+    """
+    saturated: Optional[_InnerLimit] = None
+    cap: Optional[Number] = None
+    for bound in M_values:
+        if saturated is not None and bound >= cap:
+            trace = tuple(SliceIntegral(t.n, bound, t.value) for t in saturated.trace)
+            yield bound, replace(saturated, bound=bound, trace=trace)
+            continue
+        lim = _inner_limit(cache, sched, bound)
+        if lim is not None and cap is None:
+            cap = max(
+                (cache.evaluator_at(n).total_bound for n in cache.n_values),
+                default=None,
+            )
+        if cap is not None and bound >= cap:
+            saturated = lim
+        yield bound, lim
+
+
 def _outer_verdict(
     outer: List[Number], sched: LimitSchedule
 ) -> Tuple[str, Optional[Number]]:
@@ -198,8 +233,7 @@ def integrate_cell(
     inner: List[_InnerLimit] = []
     trace: List[SliceIntegral] = []
     warnings: List[str] = []
-    for bound in sched.M_values:
-        lim = _inner_limit(cache, sched, bound)
+    for bound, lim in _inner_limits(cache, sched, sched.M_values):
         if lim is None:
             warnings.append(
                 f"truncation at {bound} is not exactly representable for this "
@@ -275,8 +309,8 @@ def _structural_bound(
     valid because a bounded function is integrable on a unit cell."""
     try:
         g = f if cell == ORIGIN_CELL else translate(f, cell.origin())
-        ev = SliceEvaluator(slice_function(g, ZERO_ANCHOR, max(sched.n_values)))
-        return ev.total_bound
+        cache = _SliceCache(g, ZERO_ANCHOR, sched.n_values)
+        return cache.evaluator_at(max(sched.n_values)).total_bound
     except FormNotExact:
         return None
 
@@ -457,8 +491,7 @@ def slice_scan(
     """The raw (n, M) -> slice integral table, for plotting and inspection."""
     out: List[SliceIntegral] = []
     cache = _SliceCache(f, anchor, tuple(n_values))
-    for bound in M_values:
-        lim = _inner_limit(cache, DEFAULT_SCHEDULE, bound)
+    for _, lim in _inner_limits(cache, DEFAULT_SCHEDULE, M_values):
         if lim is not None:
             out.extend(lim.trace)
     return out

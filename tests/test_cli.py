@@ -211,6 +211,16 @@ def test_reports_are_deterministic(capsys):
          ["integrate", "xy"], "schedules.quick.n_values"),
         ("schedules", {},
          ["integrate", "xy", "--schedule", "n_max=abc"], "--schedule n_max"),
+        ("anchors", {"origin": 5}, ["measure", "unit-cell"], "anchors.origin"),
+        ("functions", {"bad": {"op": "piecewise", "index": 0, "pieces": [5]}},
+         ["measure", "unit-cell"], "functions.bad.pieces[0]"),
+        ("sets", {"bad": {"explicit": [1]}},
+         ["measure", "unit-cell"], "sets.bad[0].explicit"),
+        ("verify", [{"type": "compatibility", "samples": 5}],
+         ["verify"], "verify[0].samples"),
+        ("functions", [1], ["measure", "unit-cell"], "functions"),
+        ("verify", [{"type": "fubini", "function": "half-box-indicator", "splits": "v0"}],
+         ["verify"], "verify[0].splits: expected a list"),
     ],
 )
 def test_problem_errors_name_their_location(capsys, tmp_path, section, value, argv, location):
