@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .boxes import (
     Box,
@@ -38,9 +38,6 @@ class Cell:
 
     def origin(self) -> SparseVector:
         return self.base.to_sparse()
-
-    def as_box(self) -> Box:
-        return unit_cell().translate(self.origin())
 
     def sort_key(self):
         return tuple((i, v) for i, v in self.origin().entries)

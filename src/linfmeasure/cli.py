@@ -45,6 +45,7 @@ from .intervals import INF, Interval, IntervalUnion
 from .library import BUILTIN_FUNCTIONS
 from .limits import (
     DEFAULT_SCHEDULE,
+    MAX_SCHEDULE_VALUES,
     IntegralResult,
     LimitSchedule,
     integrate_cell,
@@ -117,6 +118,16 @@ def _convert(convert, value: Any, where: str) -> Any:
         return convert(value)
     except (TypeError, ValueError):
         raise ProblemError(f"{where}: expected {convert.__name__}, got {value!r}")
+
+
+def _capped(count: int, where: str) -> int:
+    """count, checked before that many schedule values are built."""
+    if count > MAX_SCHEDULE_VALUES:
+        raise ProblemError(
+            f"{where}: {count} values, more than the {MAX_SCHEDULE_VALUES} "
+            "a schedule may list"
+        )
+    return count
 
 
 def _union(value: Any, where: str) -> IntervalUnion:
@@ -294,33 +305,47 @@ class Problem:
         raise ProblemError(f"{where}: unknown op {op!r}")
 
 
-def _schedule_from_dict(value: Any, where: str) -> LimitSchedule:
+def _schedule_from_dict(
+    value: Any, where: str, base: LimitSchedule = DEFAULT_SCHEDULE, sep: str = "."
+) -> LimitSchedule:
+    """base with the keys of value applied; a key's location is where, sep
+    and the key."""
     if not isinstance(value, dict):
         raise ProblemError(f"{where}: expected an object")
-    kwargs: dict = {}
+    kwargs: dict = dict(
+        n_values=base.n_values,
+        M_values=base.M_values,
+        window=base.window,
+        epsilon=base.epsilon,
+    )
+
+    def at(key: str) -> str:
+        return f"{where}{sep}{key}"
+
     if "n_max" in value:
-        n_max = _convert(int, value["n_max"], f"{where}.n_max")
-        kwargs["n_values"] = tuple(range(0, n_max + 1))
+        n_max = _convert(int, value["n_max"], at("n_max"))
+        kwargs["n_values"] = tuple(range(0, _capped(n_max + 1, at("n_max"))))
     if "n_values" in value:
         if not isinstance(value["n_values"], list):
-            raise ProblemError(f"{where}.n_values: expected a list of integers")
+            raise ProblemError(f"{at('n_values')}: expected a list of integers")
         kwargs["n_values"] = tuple(
-            _convert(int, n, f"{where}.n_values[{k}]")
+            _convert(int, n, f"{at('n_values')}[{k}]")
             for k, n in enumerate(value["n_values"])
         )
     if "M_max_power" in value:
-        power = _convert(int, value["M_max_power"], f"{where}.M_max_power")
-        kwargs["M_values"] = tuple(Fraction(2) ** k for k in range(0, power + 1))
+        power = _convert(int, value["M_max_power"], at("M_max_power"))
+        count = _capped(power + 1, at("M_max_power"))
+        kwargs["M_values"] = tuple(Fraction(2) ** k for k in range(0, count))
     if "M_values" in value:
         if not isinstance(value["M_values"], list):
-            raise ProblemError(f"{where}.M_values: expected a list of rationals")
+            raise ProblemError(f"{at('M_values')}: expected a list of rationals")
         kwargs["M_values"] = tuple(
-            _rat(m, f"{where}.M_values[{k}]") for k, m in enumerate(value["M_values"])
+            _rat(m, f"{at('M_values')}[{k}]") for k, m in enumerate(value["M_values"])
         )
     if "epsilon" in value:
-        kwargs["epsilon"] = _convert(float, value["epsilon"], f"{where}.epsilon")
+        kwargs["epsilon"] = _convert(float, value["epsilon"], at("epsilon"))
     if "window" in value:
-        kwargs["window"] = _convert(int, value["window"], f"{where}.window")
+        kwargs["window"] = _convert(int, value["window"], at("window"))
     try:
         return LimitSchedule(**kwargs)
     except ValueError as exc:
@@ -336,31 +361,11 @@ def _schedule_from_flags(base: LimitSchedule, text: Optional[str]) -> LimitSched
         if "=" not in item:
             raise ProblemError(f"--schedule: expected key=value, got {item!r}")
         key, _, val = item.partition("=")
-        spec[key.strip()] = val.strip()
-    kwargs = dict(
-        n_values=base.n_values,
-        M_values=base.M_values,
-        window=base.window,
-        epsilon=base.epsilon,
-    )
-    for key, val in spec.items():
-        where = f"--schedule {key}"
-        if key == "n_max":
-            kwargs["n_values"] = tuple(range(0, _convert(int, val, where) + 1))
-        elif key == "M_max_power":
-            kwargs["M_values"] = tuple(
-                Fraction(2) ** k for k in range(0, _convert(int, val, where) + 1)
-            )
-        elif key == "epsilon":
-            kwargs["epsilon"] = _convert(float, val, where)
-        elif key == "window":
-            kwargs["window"] = _convert(int, val, where)
-        else:
+        key = key.strip()
+        if key not in ("n_max", "M_max_power", "epsilon", "window"):
             raise ProblemError(f"--schedule: unknown key {key!r}")
-    try:
-        return LimitSchedule(**kwargs)
-    except ValueError as exc:
-        raise ProblemError(f"--schedule: {exc}")
+        spec[key] = val.strip()
+    return _schedule_from_dict(spec, "--schedule", base, sep=" ")
 
 
 def _parse_cells(text: str) -> List[Cell]:
@@ -503,11 +508,14 @@ def cmd_slice_scan(args) -> int:
     anchor = ZERO_ANCHOR
     if args.anchor:
         anchor = _lookup(problem.anchors, "anchor", args.anchor, "--anchor")
+    lo, _, hi = args.n.partition("..")
     try:
-        lo, _, hi = args.n.partition("..")
-        n_values = tuple(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ProblemError(f"--n: expected LO..HI, got {args.n!r}")
+    if not 0 <= lo <= hi:
+        raise ProblemError(f"--n: expected 0 <= LO <= HI, got {args.n!r}")
+    n_values = tuple(range(lo, lo + _capped(hi - lo + 1, "--n")))
     M_values = []
     for item in (args.M or "inf").split(","):
         item = item.strip()

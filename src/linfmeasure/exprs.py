@@ -8,13 +8,13 @@ rational points is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Tuple, Union
 
 from .boxes import Box, BoxUnion, SparseVector, ZERO_VECTOR, coerce_union
 from .errors import SeriesNotSummable
-from .intervals import INF, Interval, IntervalUnion, UNIT_UNION, frac
+from .intervals import IntervalUnion, UNIT_UNION, frac
 
 
 class Expr:
@@ -293,11 +293,7 @@ def _slice(f: Expr, d: SparseVector, a: SparseVector, n: int) -> Expr:
                 (iu.translate(-di), _poly_shift(coeffs, di)) for iu, coeffs in f.pieces
             )
             return Piecewise(i, pieces)
-        x = a.get(i)
-        for iu, coeffs in f.pieces:
-            if iu.contains(x):
-                return Const(_poly_at(coeffs, x))
-        return Const(Fraction(0))
+        return Const(evaluate(f, {i: a.get(i)}))
     if isinstance(f, Indicator):
         kept = []
         for b in f.region.boxes:

@@ -2,36 +2,24 @@
 
 A split partitions the coordinate axes into V and W (finite/cofinite, or
 the two infinite halves even/odd).  For structured functions the inner
-W-integral is evaluated symbolically — the function is rewritten as a sum
-of global separable terms (coefficient, per-coordinate univariate factors,
-and a tail constraint on all remaining coordinates) — and the iterated
-value is compared against direct integration.
+W-integral is evaluated symbolically: the separable terms of
+``quadrature.normalize`` (coefficient, per-coordinate univariate factors,
+and a tail constraint on all remaining coordinates) hold on the whole
+space, so each term's iterated value is a product of factor integrals and
+tail factors.  ``normalize_global`` is that form for the trees a split can
+factor.  The iterated value is compared against direct integration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
-from .boxes import Box, tail_factor, union_disjointify
+from .boxes import Box, tail_factor
 from .errors import SplitUnsupported
-from .exprs import (
-    Abs,
-    Clamp,
-    Const,
-    Coord,
-    Expr,
-    Indicator,
-    Piecewise,
-    Prod,
-    Scale,
-    Series,
-    Sum,
-    Translate,
-    _poly_shift,
-)
-from .intervals import INF, IntervalUnion, UNIT_UNION
+from .exprs import Abs, Clamp, Expr, Prod, Scale, Series, Sum, Translate
+from .intervals import INF
 from .limits import (
     DEFAULT_SCHEDULE,
     IntegralResult,
@@ -41,7 +29,7 @@ from .limits import (
     integrability_check,
     integrate_global,
 )
-from .quadrature import PiecewisePoly, _poly_mul
+from .quadrature import PiecewisePoly, SeparableTerm, normalize
 
 
 @dataclass(frozen=True)
@@ -88,227 +76,100 @@ class SplitMeasures:
 
 
 def box_split_measures(b: Box, split: CoordinateSplit) -> SplitMeasures:
-    """Measures of the V- and W-projections of a box; their product equals
-    the box measure (0 times infinity reads as 0)."""
-
-    def side(in_side, infinite: bool):
-        m = Fraction(1)
-        for i, c in b.explicit:
-            if in_side(i):
-                m *= c.total_length
-                if m == 0:
-                    return Fraction(0)
-        if infinite:
-            return m * tail_factor(b.tail.total_length)
-        return m
-
-    v = side(split.v_contains, split.v_infinite)
-    w = side(lambda i: not split.v_contains(i), True)
-    return SplitMeasures(v_measure=v, w_measure=w)
+    """Measures of the V- and W-projections of a box: the two sides of its
+    indicator's separable term.  Their product equals the box measure (0
+    times infinity reads as 0)."""
+    factors = tuple((i, PiecewisePoly.constant_on(c)) for i, c in b.explicit)
+    term = SeparableTerm(Fraction(1), factors, b.tail)
+    return SplitMeasures(_side(term, split, True), _side(term, split, False))
 
 
-# A factor is either a PiecewisePoly (zero outside its pieces) or a
-# polynomial valid on the whole axis, written ("free", coeffs).
-Factor = Union[PiecewisePoly, tuple]
-
-
-def _mul_factors(a: Factor, b: Factor) -> Factor:
-    a_free = isinstance(a, tuple)
-    b_free = isinstance(b, tuple)
-    if a_free and b_free:
-        return ("free", _poly_mul(a[1], b[1]))
-    if a_free:
-        a, b = b, a
-        a_free, b_free = b_free, a_free
-    if b_free:
-        return PiecewisePoly(
-            tuple((iv, _poly_mul(coeffs, b[1])) for iv, coeffs in a.pieces)
-        )
-    return a.multiply(b)
-
-
-def _integrate_factor(f: Factor) -> Fraction:
-    if isinstance(f, tuple):
+def _side(term: SeparableTerm, split: CoordinateSplit, v_side: bool) -> Number:
+    """A term's integral over the V side (v_side) or the W side of a split,
+    without its coefficient: the product of the side's factor integrals, a
+    tail length per finite-side coordinate without a factor, and a
+    0/1/infinity tail factor on an infinite side.  A zero product returns
+    before any infinite factor can appear (0 times infinity is 0)."""
+    val = Fraction(1)
+    for i, fac in term.factors:
+        if split.v_contains(i) == v_side:
+            if isinstance(fac, tuple):
+                raise SplitUnsupported(
+                    "a coordinate factor without bounded support has no finite integral"
+                )
+            val *= fac.integral_over()
+            if val == 0:
+                return Fraction(0)
+    if v_side and not split.v_infinite:
+        # finitely many V-coordinates without an explicit factor are
+        # constrained by the tail; each contributes its length
+        if term.tail is not None:
+            coords = {i for i, _ in term.factors}
+            for i in split.indices:
+                if i not in coords:
+                    val *= term.tail.total_length
+                    if val == 0:
+                        return Fraction(0)
+        return val
+    if term.tail is None:
         raise SplitUnsupported(
-            "a coordinate factor without bounded support has no finite integral"
+            "a term without a tail constraint has no finite integral over "
+            "the infinite side of the split"
         )
-    return f.integral_over(None)
+    return val * tail_factor(term.tail.total_length)
 
 
-def _shift_factor(f: Factor, c: Fraction) -> Factor:
-    if isinstance(f, tuple):
-        return ("free", _poly_shift(f[1], c))
-    return f.shift(c)
-
-
-@dataclass(frozen=True)
-class GlobalTerm:
-    """coef * prod of per-coordinate factors * 1{x_i in tail} on all other
-    coordinates.  tail None means no constraint on the rest."""
-
-    coef: Fraction
-    factors: tuple  # ((coord, Factor), ...) sorted
-    tail: Optional[IntervalUnion]
-
-    def factor_map(self) -> Dict[int, Factor]:
-        return dict(self.factors)
-
-
-def _gterm(coef, factors: Dict[int, Factor], tail) -> GlobalTerm:
-    return GlobalTerm(Fraction(coef) if not isinstance(coef, Fraction) else coef,
-                      tuple(sorted(factors.items(), key=lambda kv: kv[0])), tail)
-
-
-def _intersect_tails(a: Optional[IntervalUnion], b: Optional[IntervalUnion]):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a.intersect(b)
-
-
-def normalize_global(expr: Expr) -> List[GlobalTerm]:
-    """Rewrite a whole-space expression as a sum of global separable terms.
-
-    Raises SplitUnsupported outside the structured class (clamp, absolute
-    value, and unexpanded series do not factor through a split)."""
-    if isinstance(expr, Const):
-        return [] if expr.value == 0 else [_gterm(expr.value, {}, None)]
-    if isinstance(expr, Coord):
-        return [_gterm(1, {expr.index: ("free", (Fraction(0), Fraction(1)))}, None)]
-    if isinstance(expr, Scale):
-        if expr.coef == 0:
-            return []
-        return [GlobalTerm(expr.coef * t.coef, t.factors, t.tail)
-                for t in normalize_global(expr.arg)]
+def _unsupported(expr: Expr) -> Optional[Expr]:
+    """The first Series, Clamp or Abs node of the tree in pre-order, or
+    None; a zero scale hides what is below it."""
+    if isinstance(expr, (Series, Clamp, Abs)):
+        return expr
     if isinstance(expr, Sum):
-        out: List[GlobalTerm] = []
-        for t in expr.terms:
-            out.extend(normalize_global(t))
-        return out
-    if isinstance(expr, Prod):
-        acc = [_gterm(1, {}, None)]
-        for g in expr.factors:
-            acc = _cross_multiply_global(acc, normalize_global(g))
-        return acc
-    if isinstance(expr, Piecewise):
-        return [
-            _gterm(
-                1,
-                {expr.index: PiecewisePoly(tuple((c, coeffs) for c in iu.components))},
-                None,
-            )
-            for iu, coeffs in expr.pieces
-            if not iu.is_empty
-        ]
-    if isinstance(expr, Indicator):
-        out = []
-        for b in union_disjointify(expr.region).boxes:
-            factors = {i: PiecewisePoly.constant_on(c) for i, c in b.explicit}
-            out.append(_gterm(1, factors, b.tail))
-        return out
-    if isinstance(expr, Translate):
-        out = []
-        for t in normalize_global(expr.arg):
-            factors = t.factor_map()
-            for i, v in expr.shift.entries:
-                if i in factors:
-                    factors[i] = _shift_factor(factors[i], v)
-                elif t.tail is not None:
-                    # the tail constraint on this coordinate becomes explicit
-                    factors[i] = PiecewisePoly.constant_on(t.tail.translate(-v))
-            out.append(_gterm(t.coef, factors, t.tail))
-        return out
-    if isinstance(expr, Series):
+        children = expr.terms
+    elif isinstance(expr, Prod):
+        children = expr.factors
+    elif isinstance(expr, Translate) or (isinstance(expr, Scale) and expr.coef != 0):
+        children = (expr.arg,)
+    else:
+        return None
+    for child in children:
+        found = _unsupported(child)
+        if found is not None:
+            return found
+    return None
+
+
+def normalize_global(expr: Expr) -> List[SeparableTerm]:
+    """The separable terms of a whole-space expression: ``normalize``, for
+    the trees that factor through a split.
+
+    Raises SplitUnsupported for clamp, absolute value and unexpanded series,
+    whose terms hold only on a slice or need expanding first."""
+    bad = _unsupported(expr)
+    if isinstance(bad, Series):
         raise SplitUnsupported("series must be expanded before split integration")
-    if isinstance(expr, (Clamp, Abs)):
+    if bad is not None:
         raise SplitUnsupported(
-            f"{type(expr).__name__} does not factor through a coordinate split"
+            f"{type(bad).__name__} does not factor through a coordinate split"
         )
-    raise SplitUnsupported(f"cannot factor node {type(expr).__name__} through a split")
+    return normalize(expr)
 
 
-def _cross_multiply_global(
-    a: List[GlobalTerm], b: List[GlobalTerm]
-) -> List[GlobalTerm]:
-    out = []
-    for s in a:
-        for t in b:
-            tail = _intersect_tails(s.tail, t.tail)
-            factors = s.factor_map()
-            for i, fb in t.factors:
-                if i in factors:
-                    factors[i] = _mul_factors(factors[i], fb)
-                else:
-                    # s constrains this coordinate only through its tail
-                    fb2 = fb
-                    if s.tail is not None:
-                        fb2 = _mul_factors(fb, PiecewisePoly.constant_on(s.tail))
-                    factors[i] = fb2
-            for i, fa in s.factors:
-                if t.tail is not None and all(j != i for j, _ in t.factors):
-                    factors[i] = _mul_factors(
-                        factors[i], PiecewisePoly.constant_on(t.tail)
-                    )
-            out.append(_gterm(s.coef * t.coef, factors, tail))
-    return out
-
-
-def _term_iterated_value(term: GlobalTerm, split: CoordinateSplit) -> Fraction:
+def _term_iterated_value(term: SeparableTerm, split: CoordinateSplit) -> Fraction:
     """Iterated integral of one separable term: inner W, then outer V.
 
     Separability makes the inner integral a constant in the V-variables, so
-    each side contributes the product of its factor integrals, a tail length
-    per unconstrained finite-side coordinate, and a 0/1/infinity tail factor
-    per infinite side.  A zero side annihilates the term before any infinite
-    factor can appear (the measure convention 0 times infinity is 0)."""
-    fmap = term.factor_map()
-
-    def side_value(in_side, infinite: bool) -> Union[Fraction, float]:
-        val = Fraction(1)
-        for i, fac in term.factors:
-            if in_side(i):
-                val *= _integrate_factor(fac)
-                if val == 0:
-                    return Fraction(0)
-        if not infinite:
-            # finitely many V-coordinates without an explicit factor are
-            # constrained by the tail; each contributes its length
-            if term.tail is not None:
-                for i in split.indices:
-                    if i not in fmap:
-                        val *= term.tail.total_length
-                        if val == 0:
-                            return Fraction(0)
-            return val
-        if term.tail is None:
-            raise SplitUnsupported(
-                "a term without a tail constraint has no finite integral over "
-                "the infinite side of the split"
-            )
-        return val * tail_factor(term.tail.total_length)
-
-    v = side_value(split.v_contains, split.v_infinite)
+    the value is the coefficient times the two sides' integrals.  A zero V
+    side annihilates the term before the W side is read."""
+    v = _side(term, split, True)
     if v == 0:
         return Fraction(0)
-    w = side_value(lambda i: not split.v_contains(i), True)
+    w = _side(term, split, False)
     if w == 0:
         return Fraction(0)
     if v == INF or w == INF:
         raise SplitUnsupported("iterated integral is infinite on one side")
     return term.coef * v * w
-
-
-def _contains_series(expr: Expr) -> bool:
-    if isinstance(expr, Series):
-        return True
-    if isinstance(expr, Sum):
-        return any(_contains_series(t) for t in expr.terms)
-    if isinstance(expr, Prod):
-        return any(_contains_series(g) for g in expr.factors)
-    if isinstance(expr, (Scale, Translate, Clamp, Abs)):
-        return _contains_series(expr.arg)
-    return False
 
 
 def _expand_series(expr: Expr, depth: int) -> Expr:
@@ -357,7 +218,9 @@ def iterated_integrate(
         "inner-slice integrability holds term-by-term for structured f; the "
         "almost-everywhere condition is not verified pointwise",
     )
-    if not _contains_series(f):
+    # a tree with a Series is expanded to growing depth; one with a Clamp
+    # or Abs raises in normalize_global on either path
+    if _unsupported(f) is None:
         value = _iterated_value_exact(f, split)
         return IntegralResult(value=value, status="converged", warnings=warnings)
     partials: List[Fraction] = []

@@ -39,6 +39,10 @@ from .quadrature import SliceEvaluator, SliceIntegral
 _DEFAULT_N = tuple(range(0, 25)) + tuple(range(26, 61, 2))
 _DEFAULT_M = tuple(Fraction(2) ** k for k in range(0, 21))
 
+# The most values a schedule or a slice scan may list; front ends check a
+# requested count against it before building the values.
+MAX_SCHEDULE_VALUES = 10_000
+
 
 @dataclass(frozen=True)
 class LimitSchedule:
@@ -59,9 +63,13 @@ class LimitSchedule:
             raise ValueError("window must be at least 2")
         if not self.n_values or list(self.n_values) != sorted(set(self.n_values)):
             raise ValueError("n_values must be nonempty and strictly increasing")
+        if self.n_values[0] < 0:
+            raise ValueError(f"n_values must be nonnegative, got {self.n_values[0]}")
         ms = list(self.M_values)
         if not ms or any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
             raise ValueError("M_values must be nonempty and strictly increasing")
+        if max(len(self.n_values), len(ms)) > MAX_SCHEDULE_VALUES:
+            raise ValueError(f"at most {MAX_SCHEDULE_VALUES} values of n or of M")
 
     def untruncated(self) -> "LimitSchedule":
         return LimitSchedule(self.n_values, (INF,), self.window, self.epsilon)

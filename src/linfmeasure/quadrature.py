@@ -1,10 +1,16 @@
-"""Finite-dimensional integration of sliced functions over [0,1]^dims.
+"""The separable normal form, and exact integration of slices over [0,1]^dims.
 
-Integration is exact: a structured expression is normalized into a sum
-of separable terms (constant times a product of univariate piecewise
-polynomials) and integrated in rational arithmetic.  Magnitude truncation
-uses the hard-drop semantics value * 1{|value| <= M}: on disjoint constant
-pieces, whole pieces above the bound are removed.
+``normalize`` rewrites a structured expression as a sum of separable terms
+``coef * prod_i factor_i(x_i) * 1{x_j in tail for every other j}``.  A
+factor is a univariate piecewise polynomial (zero outside its pieces) or a
+free polynomial on the whole axis; no tail leaves the other coordinates
+unconstrained.  The form holds on the whole space, so Fubini splits read it
+directly.  A slice reads its restriction to the unit cube
+(``restrict_to_cube``), which is integrated in rational arithmetic.
+``Clamp`` and ``Abs`` build constant pieces of that restriction, so they are
+exact on slices only.  Magnitude truncation uses the hard-drop semantics
+value * 1{|value| <= M}: on disjoint constant pieces, whole pieces above the
+bound are removed.
 """
 
 from __future__ import annotations
@@ -78,13 +84,11 @@ class PiecewisePoly:
                 return _poly_at(coeffs, x)
         return Fraction(0)
 
-    def integral_over(self, window: Optional[Interval] = None) -> Fraction:
+    def integral_over(self) -> Fraction:
         total = Fraction(0)
         for iv, coeffs in self.pieces:
-            seg = iv if window is None else iv.intersect(window)
-            if seg.is_empty:
-                continue
-            total += _poly_definite_integral(coeffs, seg.lo, seg.hi)
+            if not iv.is_empty:
+                total += _poly_definite_integral(coeffs, iv.lo, iv.hi)
         return total
 
     def multiply(self, other: "PiecewisePoly") -> "PiecewisePoly":
@@ -134,33 +138,58 @@ def _poly_definite_integral(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
     return total
 
 
+# A factor is a PiecewisePoly, zero outside its pieces, or a free
+# polynomial on the whole axis, written as its coefficient tuple.
+Factor = Union[PiecewisePoly, tuple]
+
+_FREE_X = (Fraction(0), Fraction(1))
+
+
+def _mul_factors(a: Factor, b: Factor) -> Factor:
+    if type(a) is tuple:
+        if type(b) is tuple:
+            return _poly_mul(a, b)
+        a, b = b, a
+    if type(b) is tuple:
+        return PiecewisePoly(tuple((iv, _poly_mul(c, b)) for iv, c in a.pieces))
+    return a.multiply(b)
+
+
+def _shift_factor(f: Factor, c: Fraction) -> Factor:
+    return _poly_shift(f, c) if type(f) is tuple else f.shift(c)
+
+
 @dataclass(frozen=True)
 class SeparableTerm:
+    """coef * prod of per-coordinate factors * 1{x_i in tail} on every
+    other coordinate; tail None leaves the other coordinates free."""
+
     coef: Fraction
-    factors: tuple  # ((coord, PiecewisePoly), ...) sorted by coord
-
-    def factor_map(self) -> Dict[int, PiecewisePoly]:
-        return dict(self.factors)
+    factors: tuple  # ((coord, Factor), ...) sorted by coord
+    tail: Optional[IntervalUnion] = None
 
 
-def _term(coef, factors: Dict[int, PiecewisePoly]) -> SeparableTerm:
-    return SeparableTerm(frac(coef), tuple(sorted(factors.items())))
+def _term(coef, factors: Dict[int, Factor], tail=None) -> SeparableTerm:
+    return SeparableTerm(frac(coef), tuple(sorted(factors.items())), tail)
 
 
 def normalize(expr: Expr) -> List[SeparableTerm]:
-    """Rewrite a sliced expression as a sum of separable terms.
+    """Rewrite an expression as a sum of separable terms, valid on the
+    whole space except below a ``Clamp`` or ``Abs``, whose terms hold on
+    the unit cube only.
 
     Raises FormNotExact for trees outside the structured class.
     """
     if isinstance(expr, Const):
         return [] if expr.value == 0 else [_term(expr.value, {})]
     if isinstance(expr, Coord):
-        return [_term(1, {expr.index: PiecewisePoly.poly((0, 1))})]
+        return [_term(1, {expr.index: _FREE_X})]
     if isinstance(expr, Scale):
         if expr.coef == 0:
             return []
         return [
-            SeparableTerm(expr.coef * t.coef, t.factors) for t in normalize(expr.arg)
+            SeparableTerm(expr.coef * t.coef, t.factors, t.tail)
+            for t in normalize(expr.arg)
         ]
     if isinstance(expr, Sum):
         out: List[SeparableTerm] = []
@@ -180,54 +209,124 @@ def normalize(expr: Expr) -> List[SeparableTerm]:
         ]
     if isinstance(expr, Indicator):
         out = []
+        made: Dict[IntervalUnion, PiecewisePoly] = {}  # one factor per distinct union
         for b in union_disjointify(expr.region).boxes:
-            if b.tail != UNIT_UNION and b.tail.intersect(UNIT_UNION).total_length != 1:
-                raise FormNotExact(
-                    "indicator with a restrictive tail cannot appear in a finite slice"
-                )
-            factors = {i: PiecewisePoly.constant_on(c) for i, c in b.explicit}
-            out.append(_term(1, factors))
+            factors = []
+            for i, c in b.explicit:  # sorted by coordinate
+                fac = made.get(c)
+                if fac is None:
+                    fac = made[c] = PiecewisePoly.constant_on(c)
+                factors.append((i, fac))
+            out.append(SeparableTerm(Fraction(1), tuple(factors), b.tail))
         return out
     if isinstance(expr, Translate):
         out = []
         for t in normalize(expr.arg):
-            factors = t.factor_map()
+            factors = dict(t.factors)
             for i, v in expr.shift.entries:
-                fac = factors.get(i)
-                if fac is None:
-                    continue  # absent factor is constant 1, shift-invariant
-                factors[i] = fac.shift(v)
-            out.append(_term(t.coef, factors))
+                if i in factors:
+                    factors[i] = _shift_factor(factors[i], v)
+                elif t.tail is not None:
+                    # the tail constraint on this coordinate becomes explicit
+                    factors[i] = PiecewisePoly.constant_on(t.tail.translate(-v))
+            out.append(_term(t.coef, factors, t.tail))
         return out
     if isinstance(expr, Clamp):
-        terms = normalize(expr.arg)
-        return truncate_terms(terms, expr.bound)
+        terms = restrict_to_cube(normalize(expr.arg))
+        if expr.bound == INF or _terms_bound(terms) <= expr.bound:
+            return terms  # truncation provably inactive
+        return _piece_terms(terms, lambda v: v if abs(v) <= expr.bound else 0, "truncation")
     if isinstance(expr, Abs):
-        terms = normalize(expr.arg)
-        pieces = to_constant_pieces(terms)
-        if pieces is None or not pieces_disjoint(pieces):
-            raise FormNotExact("absolute value needs disjoint constant pieces")
-        return [
-            _term(
-                abs(p.value),
-                {i: PiecewisePoly.constant_on(iu) for i, iu in p.constraints},
-            )
-            for p in pieces
-            if p.value != 0
-        ]
+        return _piece_terms(normalize(expr.arg), abs, "absolute value")
     if isinstance(expr, Series):
         raise FormNotExact("series must be sliced before exact integration")
     raise FormNotExact(f"cannot normalize node {type(expr).__name__}")
 
 
 def _cross_multiply(a: List[SeparableTerm], b: List[SeparableTerm]) -> List[SeparableTerm]:
+    """Products of every term of a with every term of b.  A coordinate
+    that one side constrains only through its tail takes that tail as an
+    explicit factor, and the rest meet both tails."""
+    others = []
+    for t in b:
+        t_tail = None if t.tail is None else PiecewisePoly.constant_on(t.tail)
+        others.append((t, {i for i, _ in t.factors}, t_tail))
     out = []
-    for s, t in itertools.product(a, b):
-        factors = s.factor_map()
-        for i, fac in t.factors:
-            factors[i] = factors[i].multiply(fac) if i in factors else fac
-        out.append(_term(s.coef * t.coef, factors))
+    for s in a:
+        s_tail = None if s.tail is None else PiecewisePoly.constant_on(s.tail)
+        for t, t_coords, t_tail in others:
+            factors = dict(s.factors)
+            for i, fb in t.factors:
+                if i in factors:
+                    factors[i] = _mul_factors(factors[i], fb)
+                else:
+                    factors[i] = fb if s_tail is None else _mul_factors(fb, s_tail)
+            if t_tail is not None:
+                for i, fa in s.factors:
+                    if i not in t_coords:
+                        factors[i] = _mul_factors(fa, t_tail)
+            if s.tail is None or t.tail is None or s.tail == t.tail:
+                tail = s.tail if t.tail is None else t.tail
+            else:
+                tail = s.tail.intersect(t.tail)
+            out.append(_term(s.coef * t.coef, factors, tail))
     return out
+
+
+def restrict_to_cube(
+    terms: List[SeparableTerm], dims: Optional[int] = None
+) -> List[SeparableTerm]:
+    """The terms on the unit cube [0,1]^dims, with no tails: every factor
+    is clipped to [0,1] (a free factor becomes the same polynomial on
+    [0,1]), and a tail that covers [0,1] up to a null set is dropped.
+
+    Raises FormNotExact for any other tail, and for a factor on a
+    coordinate at or beyond ``dims`` when that is given.
+    """
+    clipped: Dict[IntervalUnion, IntervalUnion] = {}  # per distinct union
+
+    def clip(f: Factor) -> PiecewisePoly:
+        if type(f) is tuple:
+            return PiecewisePoly.poly(f)
+        if f.union is not None:
+            iu = clipped.get(f.union)
+            if iu is None:
+                iu = clipped[f.union] = _unit_part(f.union)
+            return f if iu == f.union else PiecewisePoly.constant_on(iu, f.pieces[0][1][0])
+        segs = ((iv.intersect(UNIT_INTERVAL), coeffs) for iv, coeffs in f.pieces)
+        return PiecewisePoly(tuple((seg, c) for seg, c in segs if not seg.is_empty))
+
+    out = []
+    for t in terms:
+        tail, factors = t.tail, t.factors
+        if tail is not None and tail != UNIT_UNION and _unit_part(tail).total_length != 1:
+            raise FormNotExact(
+                "indicator with a restrictive tail cannot appear in a finite slice"
+            )
+        # fast path: every factor is a constant on a union already seen to
+        # lie inside [0,1]
+        if not all(
+            type(f) is PiecewisePoly
+            and f.union is not None
+            and clipped.get(f.union) is f.union
+            for _, f in factors
+        ):
+            factors = tuple((i, clip(f)) for i, f in factors)
+        if dims is not None and factors and factors[-1][0] >= dims:
+            last = factors[-1][0]
+            raise FormNotExact(f"factor on coordinate {last} outside the slice of dimension {dims}")
+        if tail is not None or factors is not t.factors:
+            t = SeparableTerm(t.coef, factors)
+        out.append(t)
+    return out
+
+
+def _unit_part(iu: IntervalUnion) -> IntervalUnion:
+    """iu clipped to [0,1]; iu itself when it already lies inside."""
+    comps = iu.components
+    if not comps or (comps[0].lo >= 0 and comps[-1].hi <= 1):
+        return iu
+    return iu.intersect(UNIT_UNION)
 
 
 @dataclass(frozen=True)
@@ -237,14 +336,12 @@ class ConstantPiece:
     value: Fraction
     constraints: tuple  # ((coord, IntervalUnion), ...); missing coords mean [0,1]
 
-    def volume(self, dims: int, lengths: Optional[dict] = None) -> Fraction:
+    def volume(self, lengths: dict) -> Fraction:
         """Constraints are pre-clipped to [0,1]; unconstrained coords give 1.
 
-        ``lengths`` (union -> length) may be shared by the pieces of one
-        slice, so that each distinct union is measured once.
+        ``lengths`` (union -> length) is shared by the pieces of one slice,
+        so that each distinct union is measured once.
         """
-        if lengths is None:
-            lengths = {}
         num = den = 1
         for _, iu in self.constraints:
             length = lengths.get(iu)
@@ -257,43 +354,27 @@ class ConstantPiece:
         return Fraction(num, den)
 
 
-def _unit_part(iu: IntervalUnion) -> IntervalUnion:
-    """iu clipped to [0,1]; iu itself when it already lies inside."""
-    comps = iu.components
-    if comps and comps[0].lo >= 0 and comps[-1].hi <= 1:
-        return iu
-    return iu.intersect(UNIT_UNION)
-
-
 def to_constant_pieces(terms: List[SeparableTerm]) -> Optional[List[ConstantPiece]]:
-    """Expand separable terms into constant pieces, or None if non-constant.
+    """Expand separable terms, restricted to the unit cube, into constant
+    pieces, or None if non-constant.
 
     Factor components sharing the same constant value stay grouped in one
     interval union, so a term that is a single constant on a product of
     unions yields a single piece.  A factor made by ``constant_on`` keeps
-    its union, clipped to [0,1] once per distinct union.
+    its union.
     """
     pieces: List[ConstantPiece] = []
-    clipped: Dict[IntervalUnion, IntervalUnion] = {}
-    for t in terms:
+    for t in restrict_to_cube(terms):
         if not all(fac.is_constant() for _, fac in t.factors):
             return None
         per_coord = []
         for i, fac in t.factors:
             if fac.union is not None:
-                iu = clipped.get(fac.union)
-                if iu is None:
-                    iu = clipped[fac.union] = _unit_part(fac.union)
-                per_coord.append([(i, iu, fac.pieces[0][1][0])] if iu.components else [])
+                per_coord.append([(i, fac.union, fac.pieces[0][1][0])] if fac.pieces else [])
                 continue
             by_value: Dict[Fraction, List[Interval]] = {}
             for iv, coeffs in fac.pieces:
-                if 0 <= iv.lo and iv.hi <= 1:
-                    clipped_iv = iv
-                else:
-                    clipped_iv = iv.intersect(UNIT_INTERVAL)
-                if not clipped_iv.is_empty:
-                    by_value.setdefault(coeffs[0], []).append(clipped_iv)
+                by_value.setdefault(coeffs[0], []).append(iv)
             per_coord.append(
                 [(i, IntervalUnion.of(*ivs), v) for v, ivs in by_value.items()]
             )
@@ -358,27 +439,26 @@ def pieces_disjoint(pieces: List[ConstantPiece]) -> bool:
     return True
 
 
-def truncate_terms(terms: List[SeparableTerm], bound) -> List[SeparableTerm]:
-    """Apply value * 1{|value| <= bound} exactly, or raise FormNotExact."""
-    if bound == INF:
-        return terms
-    total_bound = sum(
-        (abs(t.coef) * _factors_bound(t) for t in terms), Fraction(0)
-    )
-    if total_bound <= bound:
-        return terms  # truncation provably inactive
+def _piece_terms(terms: List[SeparableTerm], value_of, what: str) -> List[SeparableTerm]:
+    """One term per constant piece of the terms on the unit cube, with
+    value value_of(piece value); FormNotExact unless the pieces are
+    disjoint."""
     pieces = to_constant_pieces(terms)
     if pieces is None or not pieces_disjoint(pieces):
-        raise FormNotExact("truncation needs disjoint constant pieces")
-    kept = [p for p in pieces if abs(p.value) <= bound]
-    return [
-        _term(
-            p.value,
-            {i: PiecewisePoly.constant_on(iu) for i, iu in p.constraints},
-        )
-        for p in kept
-        if p.value != 0
-    ]
+        raise FormNotExact(f"{what} needs disjoint constant pieces")
+    out = []
+    for p in pieces:
+        value = value_of(p.value)
+        if value != 0:
+            out.append(
+                _term(value, {i: PiecewisePoly.constant_on(iu) for i, iu in p.constraints})
+            )
+    return out
+
+
+def _terms_bound(terms: List[SeparableTerm]) -> Fraction:
+    """A bound on |sum of the terms| over the unit cube."""
+    return sum((abs(t.coef) * _factors_bound(t) for t in terms), Fraction(0))
 
 
 def _factors_bound(t: SeparableTerm) -> Fraction:
@@ -390,25 +470,22 @@ def _factors_bound(t: SeparableTerm) -> Fraction:
     return Fraction(num, den)
 
 
-def exact_terms_integral(terms: List[SeparableTerm], dims: int) -> Fraction:
+def exact_terms_integral(terms: List[SeparableTerm]) -> Fraction:
+    """Integral over the unit cube of terms restricted to it."""
     unit_lengths: Dict[IntervalUnion, Fraction] = {}  # per distinct union
     total = Fraction(0)
     for t in terms:
         num, den = t.coef.numerator, t.coef.denominator
-        for i, fac in t.factors:
-            if i >= dims:
-                raise FormNotExact(
-                    f"factor on coordinate {i} outside the slice of dimension {dims}"
-                )
+        for _, fac in t.factors:
             if fac.union is not None and fac.pieces:
                 length = unit_lengths.get(fac.union)
                 if length is None:
-                    length = unit_lengths[fac.union] = _unit_part(fac.union).total_length
+                    length = unit_lengths[fac.union] = fac.union.total_length
                 value = fac.pieces[0][1][0]
                 num *= value.numerator * length.numerator
                 den *= value.denominator * length.denominator
             else:
-                value = fac.integral_over(UNIT_INTERVAL)
+                value = fac.integral_over()
                 num *= value.numerator
                 den *= value.denominator
             if not num:
@@ -427,23 +504,15 @@ class SliceEvaluator:
 
     def __init__(self, g: SlicedFunction):
         self.g = g
-        self.terms = normalize(g.body)
-        for t in self.terms:
-            for i, _ in t.factors:
-                if i >= g.dims:
-                    raise FormNotExact(
-                        f"factor on coordinate {i} outside the slice of dimension {g.dims}"
-                    )
-        self.total_bound = sum(
-            (abs(t.coef) * _factors_bound(t) for t in self.terms), Fraction(0)
-        )
+        self.terms = restrict_to_cube(normalize(g.body), g.dims)
+        self.total_bound = _terms_bound(self.terms)
         self._untruncated: Optional[Fraction] = None
         self._prefix: Optional[Tuple[list, list, list]] = None
         self._pieces_tried = False
 
     def untruncated_integral(self) -> Fraction:
         if self._untruncated is None:
-            self._untruncated = exact_terms_integral(self.terms, self.g.dims)
+            self._untruncated = exact_terms_integral(self.terms)
         return self._untruncated
 
     def _prefix_sums(self) -> Optional[Tuple[list, list, list]]:
@@ -459,7 +528,7 @@ class SliceEvaluator:
                 acc = abs_acc = Fraction(0)
                 lengths: dict = {}
                 for p in ordered:
-                    contribution = p.value * p.volume(self.g.dims, lengths)
+                    contribution = p.value * p.volume(lengths)
                     acc += contribution
                     abs_acc += abs(contribution)
                     sums.append(acc)
@@ -470,26 +539,20 @@ class SliceEvaluator:
     def integral_at(self, bound) -> Fraction:
         if bound == INF or self.total_bound <= bound:
             return self.untruncated_integral()
-        prefix = self._prefix_sums()
-        if prefix is None:
-            raise FormNotExact("truncation needs disjoint constant pieces")
-        magnitudes, sums, _ = prefix
-        k = bisect.bisect_right(magnitudes, bound)
-        return sums[k - 1] if k else Fraction(0)
+        return self._prefix_at(bound, 1, "truncation")
 
     def abs_integral_at(self, bound) -> Fraction:
         """Integral of |g| * 1{|g| <= bound}; needs the piece decomposition
         even untruncated, since |g| has no separable form in general."""
+        return self._prefix_at(bound, 2, "absolute-value integration")
+
+    def _prefix_at(self, bound, column: int, what: str) -> Fraction:
+        """The given prefix-sum column over the pieces with |value| <= bound."""
         prefix = self._prefix_sums()
         if prefix is None:
-            raise FormNotExact(
-                "absolute-value integration needs disjoint constant pieces"
-            )
-        magnitudes, _, abs_sums = prefix
-        if bound == INF or self.total_bound <= bound:
-            return abs_sums[-1] if abs_sums else Fraction(0)
-        k = bisect.bisect_right(magnitudes, bound)
-        return abs_sums[k - 1] if k else Fraction(0)
+            raise FormNotExact(f"{what} needs disjoint constant pieces")
+        k = bisect.bisect_right(prefix[0], bound)
+        return prefix[column][k - 1] if k else Fraction(0)
 
 
 def integrate_slice(g: SlicedFunction, spec: QuadratureSpec) -> SliceIntegral:

@@ -293,3 +293,37 @@ def spike_slice_enumerated(N: int, M: Fraction | float) -> Fraction:
 def spike_support_slice_volume(N: int) -> Fraction:
     """Volume of U^{N+1}: (2/3)^{N+1}."""
     return Fraction(2, 3) ** (N + 1)
+
+
+# ---------------------------------------------------------------------------
+# functions constant on the cells of a rational grid
+
+
+def grid_average(
+    f,
+    n: int,
+    M: Fraction | float = INF,
+    q: int = 4,
+    origin: Dict[int, int] | None = None,
+    frozen: Dict[int, Fraction] | None = None,
+) -> Fraction:
+    """Integral of f * 1{|f| <= M} over coordinates 0..n of one unit cell.
+
+    Coordinate i <= n runs over [origin_i, origin_i + 1]; a coordinate
+    beyond n is held at ``frozen`` (0 where not given).  When f is constant
+    on the open cells of the grid with spacing 1/q, the integral is the
+    average of its values at the cell midpoints, each found by
+    ``exprs.evaluate``; the separable normal form is never used.
+    """
+    from linfmeasure.exprs import evaluate
+
+    origin = origin or {}
+    total = Fraction(0)
+    for cell in itertools.product(range(q), repeat=n + 1):
+        point = dict(frozen or {})
+        for i, k in enumerate(cell):
+            point[i] = origin.get(i, 0) + Fraction(2 * k + 1, 2 * q)
+        v = evaluate(f, point)
+        if abs(v) <= M:
+            total += v
+    return total / q ** (n + 1)

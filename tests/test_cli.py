@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from linfmeasure.cli import main
+from linfmeasure.limits import MAX_SCHEDULE_VALUES
 
 ROOT = Path(__file__).resolve().parent.parent
 BASICS = str(ROOT / "problems" / "basics.json")
@@ -221,6 +222,19 @@ def test_reports_are_deterministic(capsys):
         ("functions", [1], ["measure", "unit-cell"], "functions"),
         ("verify", [{"type": "fubini", "function": "half-box-indicator", "splits": "v0"}],
          ["verify"], "verify[0].splits: expected a list"),
+        ("schedules", {"quick": {"n_values": [-1, 0, 1]}},
+         ["integrate", "xy"], "schedules.quick: n_values must be nonnegative"),
+        ("schedules", {"quick": {"n_max": MAX_SCHEDULE_VALUES}},
+         ["integrate", "xy"], "schedules.quick.n_max: 10001 values"),
+        ("schedules", {"quick": {"M_max_power": MAX_SCHEDULE_VALUES}},
+         ["integrate", "xy"], "schedules.quick.M_max_power: 10001 values"),
+        ("schedules", {},
+         ["integrate", "xy", "--schedule", f"M_max_power={MAX_SCHEDULE_VALUES}"],
+         "--schedule M_max_power: 10001 values"),
+        ("schedules", {}, ["slice-scan", "xy", "--n=-2..1"], "--n: expected 0 <= LO <= HI"),
+        ("schedules", {}, ["slice-scan", "xy", "--n", "5..2"], "--n: expected 0 <= LO <= HI"),
+        ("schedules", {}, ["slice-scan", "xy", "--n", f"0..{MAX_SCHEDULE_VALUES}"],
+         "--n: 10001 values"),
     ],
 )
 def test_problem_errors_name_their_location(capsys, tmp_path, section, value, argv, location):

@@ -164,3 +164,13 @@ def test_scaled_sum_iterated_linearity():
     f = scale(3, XY_CELL)
     r = iterated_integrate(f, V0, sched=QUICK, assume_integrable=True)
     assert r.value == Fraction(3, 4)
+
+
+def test_product_meets_both_tails():
+    # 1{x0 in [0,1/2], every other x_i in [0,2]} * 1{every x_i in [0,1]} is
+    # the indicator of a box with tail [0,1], of measure 1/2
+    wide = indicator(Box.make({0: (0, Fraction(1, 2))}, tail=(0, 2)))
+    f = mul(wide, indicator(BoxUnion.of(unit_cell())))
+    for split in (V0, EVEN, ODD):
+        result = iterated_integrate(f, split, QUICK, assume_integrable=True)
+        assert result.value == Fraction(1, 2)

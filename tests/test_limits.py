@@ -15,6 +15,7 @@ from linfmeasure.limits import (
     IntegralResult,
     InvarianceReport,
     LimitSchedule,
+    MAX_SCHEDULE_VALUES,
     integrability_check,
     integrate_cell,
     integrate_global,
@@ -43,6 +44,12 @@ def test_schedule_validation():
         LimitSchedule(n_values=(3, 1, 2))
     with pytest.raises(ValueError):
         LimitSchedule(M_values=(Fraction(4), Fraction(2)))
+    with pytest.raises(ValueError):
+        LimitSchedule(n_values=(-1, 0, 1))
+    with pytest.raises(ValueError):
+        LimitSchedule(n_values=range(0, MAX_SCHEDULE_VALUES + 1))
+    with pytest.raises(ValueError):
+        LimitSchedule(M_values=range(1, MAX_SCHEDULE_VALUES + 2))
     with pytest.raises(ValueError):
         LimitSchedule(window=1)
     with pytest.raises(ValueError):

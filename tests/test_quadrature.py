@@ -5,12 +5,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linfmeasure.boxes import Box, BoxUnion
+from linfmeasure.boxes import Box, BoxUnion, SparseVector
 from linfmeasure.errors import FormNotExact
 from linfmeasure.exprs import (
     Abs,
     Anchor,
     Clamp,
+    Coord,
+    Indicator,
+    SlicedFunction,
+    Translate,
     add,
     const,
     coord,
@@ -20,7 +24,7 @@ from linfmeasure.exprs import (
     scale,
     slice_function,
 )
-from linfmeasure.intervals import INF, Interval, IntervalUnion
+from linfmeasure.intervals import INF, Interval, IntervalUnion, UNIT_UNION
 from linfmeasure.library import spike_series, spike_support_indicator
 from linfmeasure.quadrature import (
     ConstantPiece,
@@ -283,3 +287,24 @@ def test_spike_slice_pieces_disjoint_per_oracle(n):
         for p in pieces
     ]
     assert pieces_disjoint(pieces) is product_sets_pairwise_disjoint(raw) is True
+
+
+def test_hand_built_slice_translates_a_free_coordinate():
+    # x0 + 1/2 over [0,1]: the shifted coordinate is a polynomial on the
+    # whole axis, restricted to the cube only after the shift
+    g = SlicedFunction(1, Translate(Coord(0), SparseVector.of({0: Fraction(1, 2)})))
+    assert integrate_slice(g, EXACT).value == 1
+
+
+def test_hand_built_slice_translates_a_unit_tail():
+    # 1{x0 + 1/2 in [0,1]} over [0,1]: the shifted tail coordinate becomes
+    # an explicit factor on [-1/2, 1/2]
+    box = Indicator(BoxUnion.of(Box((), UNIT_UNION)))
+    g = SlicedFunction(1, Translate(box, SparseVector.of({0: Fraction(1, 2)})))
+    assert integrate_slice(g, EXACT).value == Fraction(1, 2)
+
+
+def test_hand_built_slice_with_a_restrictive_tail_is_not_exact():
+    g = SlicedFunction(1, Indicator(BoxUnion.of(Box((), IntervalUnion.coerce((0, Fraction(1, 2)))))))
+    with pytest.raises(FormNotExact):
+        SliceEvaluator(g)
