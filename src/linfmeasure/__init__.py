@@ -80,6 +80,7 @@ from .limits import (
     IntegrabilityReport,
     InvarianceReport,
     LimitSchedule,
+    Trace,
     integrability_check,
     integrate_cell,
     integrate_global,

@@ -250,20 +250,13 @@ class Problem:
             if not isinstance(idx, int) or idx < 0:
                 raise ProblemError(f"{where}.index: expected a nonnegative integer")
             return Coord(idx)
-        if op == "sum":
-            return Sum(
-                tuple(
-                    self._expr(t, f"{where}.terms[{k}]")
-                    for k, t in enumerate(_list(value, "terms", where))
-                )
+        if op in ("sum", "prod"):
+            key = "terms" if op == "sum" else "factors"
+            args = tuple(
+                self._expr(t, f"{where}.{key}[{k}]")
+                for k, t in enumerate(_list(value, key, where))
             )
-        if op == "prod":
-            return Prod(
-                tuple(
-                    self._expr(t, f"{where}.factors[{k}]")
-                    for k, t in enumerate(_list(value, "factors", where))
-                )
-            )
+            return Sum(args) if op == "sum" else Prod(args)
         if op == "scale":
             return Scale(
                 _rat(value.get("coef", 1), f"{where}.coef"),
@@ -312,12 +305,7 @@ def _schedule_from_dict(
     and the key."""
     if not isinstance(value, dict):
         raise ProblemError(f"{where}: expected an object")
-    kwargs: dict = dict(
-        n_values=base.n_values,
-        M_values=base.M_values,
-        window=base.window,
-        epsilon=base.epsilon,
-    )
+    kwargs = dict(vars(base))
 
     def at(key: str) -> str:
         return f"{where}{sep}{key}"
@@ -394,9 +382,7 @@ def _fmt(value: Any) -> Any:
         return None
     if value == INF:
         return "inf"
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         return str(value)
     return float(value)
 

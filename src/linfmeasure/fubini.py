@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Union
 
 from .boxes import Box, tail_factor
-from .errors import SplitUnsupported
+from .errors import NotDisjointifiable, SplitUnsupported
 from .exprs import Abs, Clamp, Expr, Prod, Scale, Series, Sum, Translate
 from .intervals import INF
 from .limits import (
@@ -276,7 +276,10 @@ def fubini_check(
     """Compare iterated integration against direct integration per split.
 
     The integrability verdict is taken from the direct run, so each split
-    costs only the symbolic iterated evaluation."""
+    costs only the symbolic iterated evaluation.  A split that raises
+    SplitUnsupported or NotDisjointifiable (a region whose boxes overlap
+    with different tails, which only the whole-space form meets; every
+    slice has a unit tail) is inconclusive, with the message as warning."""
     direct = integrate_global(f, sched)
     rows = []
     for split in splits:
@@ -293,7 +296,7 @@ def fubini_check(
                 )
             else:
                 it = iterated_integrate(f, split, sched)
-        except SplitUnsupported as exc:
+        except (SplitUnsupported, NotDisjointifiable) as exc:
             it = IntegralResult(value=None, status="inconclusive", warnings=(str(exc),))
         diff = None
         if it.value is not None and direct.value is not None:

@@ -11,7 +11,8 @@ the signed one, sharing the per-slice piece decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence as _Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -80,11 +81,44 @@ DEFAULT_SCHEDULE = LimitSchedule()
 Number = Union[Fraction, float]
 
 
+class Trace(_Sequence):
+    """Read-only SliceIntegral rows, stored as columns (n_values, bound,
+    values): a bound's row per n is built only when it is read.  Equality
+    and hashing are those of the row tuple."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns=()):
+        self.columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return sum(len(values) for _, _, values in self.columns)
+
+    def __iter__(self):
+        for n_values, bound, values in self.columns:
+            for n, value in zip(n_values, values):
+                yield SliceIntegral(n, bound, value)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other):
+        if not isinstance(other, (Trace, tuple, list)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class IntegralResult:
     value: Optional[Number]
     status: str  # converged | diverged | inconclusive | not-integrable
-    trace: tuple = ()  # SliceIntegral per (n, M) visited
+    trace: Trace = Trace()  # SliceIntegral per (n, M) visited
     cells_used: tuple = ()
     absolute_integral: Optional[Number] = None
     absolute_status: Optional[str] = None
@@ -107,12 +141,10 @@ def _stabilized(values: Sequence[Number], w: int, eps: float) -> bool:
 
 @dataclass(frozen=True)
 class _InnerLimit:
-    bound: Number
-    value: Optional[Number]
+    values: tuple  # slice integral per n of the cache's schedule
     stabilized: bool
     abs_value: Optional[Number]
     abs_stabilized: bool
-    trace: tuple
 
 
 class _SliceCache:
@@ -131,11 +163,8 @@ class _SliceCache:
         self.horizon = slice_horizon(f, anchor)
         self._evaluators: dict = {}
 
-    def _key(self, n: int) -> int:
-        return n if self.horizon is None else min(n, self.horizon)
-
     def evaluator_at(self, n: int) -> SliceEvaluator:
-        k = self._key(n)
+        k = n if self.horizon is None else min(n, self.horizon)
         if k not in self._evaluators:
             self._evaluators[k] = SliceEvaluator(slice_function(self.f, self.anchor, k))
         return self._evaluators[k]
@@ -150,12 +179,13 @@ def _inner_limit(
     trailing window only: a sequence can sit on a plateau (the unbounded
     counterexample holds slice value 1 until n passes the truncation
     threshold) and an early exit would mistake the plateau for the limit.
+    Each distinct evaluator is integrated once, and its values are spread
+    over the n that share it.
     """
-    trace: List[SliceIntegral] = []
-    values: List[Number] = []
-    abs_values: Optional[List[Number]] = []
-    for n in cache.n_values:
-        ev = cache.evaluator_at(n)
+    evaluators = [cache.evaluator_at(n) for n in cache.n_values]
+    integrals: dict = {}  # evaluator -> (value, |value| or None)
+    abs_exact = True
+    for ev in dict.fromkeys(evaluators):  # distinct, in order
         try:
             value = ev.integral_at(bound)
         except FormNotExact:
@@ -163,24 +193,20 @@ def _inner_limit(
             # a non-constant piece; the caller skips this bound (any bound
             # at or above the function's magnitude changes nothing)
             return None
-        trace.append(SliceIntegral(n, bound, value))
-        values.append(value)
-        if abs_values is not None:
+        abs_value = None
+        if abs_exact:
             try:
-                abs_values.append(ev.abs_integral_at(bound))
+                abs_value = ev.abs_integral_at(bound)
             except FormNotExact:
-                abs_values = None
-    ok = _stabilized(values, sched.window, sched.epsilon)
-    abs_ok = abs_values is not None and _stabilized(
-        abs_values, sched.window, sched.epsilon
-    )
+                abs_exact = False
+        integrals[ev] = (value, abs_value)
+    values = tuple(integrals[ev][0] for ev in evaluators)
+    abs_values = [integrals[ev][1] for ev in evaluators] if abs_exact else None
     return _InnerLimit(
-        bound,
-        values[-1] if values else None,
-        ok,
+        values,
+        _stabilized(values, sched.window, sched.epsilon),
         abs_values[-1] if abs_values else None,
-        abs_ok,
-        tuple(trace),
+        abs_exact and _stabilized(abs_values, sched.window, sched.epsilon),
     )
 
 
@@ -189,15 +215,14 @@ def _inner_limits(cache: _SliceCache, sched: LimitSchedule, M_values):
 
     A bound at or above every slice's ``total_bound`` truncates nothing, so
     the first such bound runs the untruncated inner limit and every later
-    one reuses it, its trace relabelled with the later bound.  The cap is
-    read only after a limit came back, when the whole n schedule is built.
+    one shares it.  The cap is read only after a limit came back, when the
+    whole n schedule is built.
     """
     saturated: Optional[_InnerLimit] = None
     cap: Optional[Number] = None
     for bound in M_values:
         if saturated is not None and bound >= cap:
-            trace = tuple(SliceIntegral(t.n, bound, t.value) for t in saturated.trace)
-            yield bound, replace(saturated, bound=bound, trace=trace)
+            yield bound, saturated
             continue
         lim = _inner_limit(cache, sched, bound)
         if lim is not None and cap is None:
@@ -239,7 +264,7 @@ def integrate_cell(
     g = f if cell == ORIGIN_CELL else translate(f, cell.origin())
     cache = _SliceCache(g, anchor, sched.n_values)
     inner: List[_InnerLimit] = []
-    trace: List[SliceIntegral] = []
+    columns: list = []
     warnings: List[str] = []
     for bound, lim in _inner_limits(cache, sched, sched.M_values):
         if lim is None:
@@ -249,7 +274,7 @@ def integrate_cell(
             )
             continue
         inner.append(lim)
-        trace.extend(lim.trace)
+        columns.append((cache.n_values, bound, lim.values))
     if not inner:
         return IntegralResult(
             value=None,
@@ -269,7 +294,7 @@ def integrate_cell(
         if abs_status == "converged":
             abs_value = abs_limit
     common = dict(
-        trace=tuple(trace),
+        trace=Trace(columns),
         cells_used=(cell,),
         absolute_integral=abs_value,
         absolute_status=abs_status,
@@ -277,8 +302,8 @@ def integrate_cell(
     )
     if any(not lim.stabilized for lim in inner):
         bad = next(lim for lim in inner if not lim.stabilized)
-        return IntegralResult(value=bad.value, status="inconclusive", **common)
-    status, value = _outer_verdict([lim.value for lim in inner], sched)
+        return IntegralResult(value=bad.values[-1], status="inconclusive", **common)
+    status, value = _outer_verdict([lim.values[-1] for lim in inner], sched)
     return IntegralResult(value=value, status=status, **common)
 
 
@@ -343,62 +368,44 @@ def integrability_check(
             evidence=(),
         )
     evidence: List[CellEvidence] = []
+
+    def report(verdict: str, reason: str, total=None) -> IntegrabilityReport:
+        return IntegrabilityReport(verdict, reason, tuple(resolved), tuple(evidence), total)
+
     for cell in resolved:
         res = integrate_cell(f, cell, ZERO_ANCHOR, sched)
         if res.absolute_status == "converged":
             evidence.append(CellEvidence(cell, res, res.absolute_integral))
         elif res.absolute_status == "diverged":
-            return IntegrabilityReport(
-                verdict="not-integrable",
-                reason="the |f| double limit diverges on at least one cell",
-                cells=tuple(resolved),
-                evidence=tuple(evidence),
-            )
+            return report("not-integrable", "the |f| double limit diverges on at least one cell")
         else:
             bound = _structural_bound(f, cell, sched)
             if bound is None:
-                return IntegrabilityReport(
-                    verdict="inconclusive",
-                    reason="|f| admits neither a stabilized double limit nor a "
+                return report(
+                    "inconclusive",
+                    "|f| admits neither a stabilized double limit nor a "
                     "structural bound on every cell",
-                    cells=tuple(resolved),
-                    evidence=tuple(evidence),
                 )
-            evidence.append(
-                CellEvidence(
-                    cell,
-                    res,
-                    bound,
-                    note=f"upper bound {bound} from term magnitudes, not an "
-                    "exact |f| integral",
-                )
-            )
+            note = f"upper bound {bound} from term magnitudes, not an exact |f| integral"
+            evidence.append(CellEvidence(cell, res, bound, note))
     total = sum((e.absolute_integral for e in evidence), Fraction(0))
     largest = sched.M_values[-1]
     if largest != INF and float(total) > float(largest):
         # exceeding every truncation bound in the schedule is divergence
         # evidence only when the summands are converged |f| integrals; a
         # structural upper bound that overshoots proves nothing either way
-        exact = all(not e.note for e in evidence)
-        return IntegrabilityReport(
-            verdict="not-integrable" if exact else "inconclusive",
-            reason=(
-                "partial sums of per-cell |f| integrals exceed every bound "
-                "in the schedule"
-                if exact
-                else "only an |f| upper bound is available and it exceeds "
-                "every bound in the schedule"
-            ),
-            cells=tuple(resolved),
-            evidence=tuple(evidence),
-            absolute_integral=total if exact else None,
+        if all(not e.note for e in evidence):
+            return report(
+                "not-integrable",
+                "partial sums of per-cell |f| integrals exceed every bound in the schedule",
+                total,
+            )
+        return report(
+            "inconclusive",
+            "only an |f| upper bound is available and it exceeds every bound in the schedule",
         )
-    return IntegrabilityReport(
-        verdict="integrable",
-        reason="support is sigma-finite and per-cell |f| integrals sum finitely",
-        cells=tuple(resolved),
-        evidence=tuple(evidence),
-        absolute_integral=total,
+    return report(
+        "integrable", "support is sigma-finite and per-cell |f| integrals sum finitely", total
     )
 
 
@@ -424,27 +431,22 @@ def integrate_global(
             absolute_integral=p.absolute_integral,
             warnings=(f"integrability check: {p.reason}",),
         )
-    total: Number = Fraction(0)
-    trace: List[SliceIntegral] = []
+    total: Optional[Number] = Fraction(0)
+    status = "converged"
+    columns: list = []
     warnings: List[str] = []
     for e in p.evidence:
         res = e.result
-        trace.extend(res.trace)
+        columns.extend(res.trace.columns)
         warnings.extend(res.warnings)
         if res.status != "converged":
-            return IntegralResult(
-                value=None,
-                status=res.status,
-                trace=tuple(trace),
-                cells_used=p.cells,
-                absolute_integral=p.absolute_integral,
-                warnings=tuple(warnings),
-            )
+            total, status = None, res.status
+            break
         total = total + res.value
     return IntegralResult(
         value=total,
-        status="converged",
-        trace=tuple(trace),
+        status=status,
+        trace=Trace(columns),
         cells_used=p.cells,
         absolute_integral=p.absolute_integral,
         warnings=tuple(warnings),
@@ -497,9 +499,10 @@ def slice_scan(
     M_values: Sequence[Number] = (INF,),
 ) -> List[SliceIntegral]:
     """The raw (n, M) -> slice integral table, for plotting and inspection."""
-    out: List[SliceIntegral] = []
     cache = _SliceCache(f, anchor, tuple(n_values))
-    for _, lim in _inner_limits(cache, DEFAULT_SCHEDULE, M_values):
-        if lim is not None:
-            out.extend(lim.trace)
-    return out
+    columns = [
+        (cache.n_values, bound, lim.values)
+        for bound, lim in _inner_limits(cache, DEFAULT_SCHEDULE, M_values)
+        if lim is not None
+    ]
+    return list(Trace(columns))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -220,6 +220,8 @@ def normalize(expr: Expr) -> List[SeparableTerm]:
             out.append(SeparableTerm(Fraction(1), tuple(factors), b.tail))
         return out
     if isinstance(expr, Translate):
+        if isinstance(expr.arg, (Abs, Clamp)):  # both commute with a shift
+            return normalize(replace(expr.arg, arg=Translate(expr.arg.arg, expr.shift)))
         out = []
         for t in normalize(expr.arg):
             factors = dict(t.factors)
@@ -237,7 +239,7 @@ def normalize(expr: Expr) -> List[SeparableTerm]:
             return terms  # truncation provably inactive
         return _piece_terms(terms, lambda v: v if abs(v) <= expr.bound else 0, "truncation")
     if isinstance(expr, Abs):
-        return _piece_terms(normalize(expr.arg), abs, "absolute value")
+        return _piece_terms(restrict_to_cube(normalize(expr.arg)), abs, "absolute value")
     if isinstance(expr, Series):
         raise FormNotExact("series must be sliced before exact integration")
     raise FormNotExact(f"cannot normalize node {type(expr).__name__}")
@@ -355,7 +357,7 @@ class ConstantPiece:
 
 
 def to_constant_pieces(terms: List[SeparableTerm]) -> Optional[List[ConstantPiece]]:
-    """Expand separable terms, restricted to the unit cube, into constant
+    """Expand terms that ``restrict_to_cube`` returned into constant
     pieces, or None if non-constant.
 
     Factor components sharing the same constant value stay grouped in one
@@ -364,7 +366,7 @@ def to_constant_pieces(terms: List[SeparableTerm]) -> Optional[List[ConstantPiec
     its union.
     """
     pieces: List[ConstantPiece] = []
-    for t in restrict_to_cube(terms):
+    for t in terms:
         if not all(fac.is_constant() for _, fac in t.factors):
             return None
         per_coord = []

@@ -58,6 +58,16 @@ def test_integrate_cylinder_exact_quarter(capsys):
     assert "trace" not in report["result"]
 
 
+@pytest.mark.parametrize("function", ["xy", "half-box-indicator", "spike"])
+def test_no_trace_drops_only_the_trace(capsys, function):
+    argv = ("integrate", function, "-f", BASICS, "--schedule", "n_max=12,M_max_power=4")
+    code, out, _ = run(capsys, *argv)
+    bare_code, bare_out, _ = run(capsys, *argv, "--no-trace")
+    report, bare = json.loads(out), json.loads(bare_out)
+    del report["result"]["trace"]
+    assert (bare_code, bare) == (code, report)
+
+
 def test_integrate_spike_short_schedule_inconclusive(capsys):
     # n up to 12 cannot outrun the truncation threshold at M = 2^6
     code, out, _ = run(

@@ -160,6 +160,23 @@ def test_fubini_check_unsupported_split_reported_not_raised():
     assert rep.passed
 
 
+def test_fubini_check_reports_overlapping_tails_as_inconclusive():
+    # the boxes overlap with different tails, which have no disjoint
+    # refinement on the whole space that a split integrates over
+    overlap = BoxUnion.of(
+        Box.make({0: (0, Fraction(1, 2)), 1: (0, Fraction(1, 2))}, tail=(0, 1)),
+        Box.make({0: (Fraction(1, 4), 1)}, tail=(-1, 2)),
+    )
+    f = mul(indicator(BoxUnion.of(unit_cell())), indicator(overlap))
+    rep = fubini_check(f, [V0, EVEN], sched=QUICK)
+    assert not rep.passed
+    for row in rep.rows:
+        # slices see only unit tails, so the direct run still converges
+        assert row.direct.status == "converged" and row.direct.value == Fraction(7, 8)
+        assert row.iterated.status == "inconclusive" and not row.consistent
+        assert "no finite disjoint refinement" in row.iterated.warnings[0]
+
+
 def test_scaled_sum_iterated_linearity():
     f = scale(3, XY_CELL)
     r = iterated_integrate(f, V0, sched=QUICK, assume_integrable=True)

@@ -30,6 +30,7 @@ from linfmeasure.exprs import (
 )
 from linfmeasure.fubini import CoordinateSplit, fubini_check
 from linfmeasure.intervals import INF
+from linfmeasure.limits import LimitSchedule, integrate_cell
 from linfmeasure.quadrature import QuadratureSpec, integrate_slice
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -138,3 +139,19 @@ def test_fubini_splits_match_grid_oracle(f, cell_first):
         assert row.direct.status == "converged"
         assert row.direct.value == expected
         assert row.iterated.value == expected
+
+
+CELL_SCHED = LimitSchedule(n_values=(0, 1, 2), M_values=BOUNDS, window=2)
+
+
+@given(TREES)
+@settings(max_examples=150, deadline=None)
+def test_integrate_cell_trace_matches_grid_oracle(f):
+    try:
+        trace = integrate_cell(f, sched=CELL_SCHED).trace
+    except FormNotExact:
+        event("not exact")
+        return
+    event(f"{len(trace)} rows")
+    for row in trace:
+        assert row.value == grid_average(f, row.n, row.truncation, Q)

@@ -35,6 +35,7 @@ from linfmeasure.quadrature import (
     integrate_slice,
     normalize,
     pieces_disjoint,
+    restrict_to_cube,
     to_constant_pieces,
 )
 
@@ -277,7 +278,7 @@ def test_pieces_disjoint_boundary_cases():
 
 @pytest.mark.parametrize("n", [0, 1, 5, 12])
 def test_spike_slice_pieces_disjoint_per_oracle(n):
-    terms = normalize(slice_function(spike_series(), Anchor(), n).body)
+    terms = restrict_to_cube(normalize(slice_function(spike_series(), Anchor(), n).body))
     pieces = to_constant_pieces(terms)
     raw = [
         {
@@ -308,3 +309,17 @@ def test_hand_built_slice_with_a_restrictive_tail_is_not_exact():
     g = SlicedFunction(1, Indicator(BoxUnion.of(Box((), IntervalUnion.coerce((0, Fraction(1, 2)))))))
     with pytest.raises(FormNotExact):
         SliceEvaluator(g)
+
+
+@pytest.mark.parametrize(
+    "clip, expected",
+    [(Abs, Fraction(5, 8)), (lambda g: Clamp(g, Fraction(2)), Fraction(1, 4))],
+)
+def test_hand_built_slice_translates_through_abs_and_clamp(clip, expected):
+    # the inner shift moves pw's pieces on [0, 1/2] to [-1/2, 0] and the
+    # outer one moves them back; clipping to [0,1] in between loses them
+    pw = piecewise_const(0, [((0, Fraction(1, 4)), 1), ((Fraction(3, 8), Fraction(1, 2)), 3)])
+    inner = Translate(pw, SparseVector.of({0: Fraction(1, 2)}))
+    body = Translate(clip(inner), SparseVector.of({0: Fraction(-1, 2)}))
+    assert integrate_slice(SlicedFunction(1, body), EXACT).value == expected
+    assert integrate_slice(slice_function(body, Anchor(), 0), EXACT).value == expected

@@ -2,6 +2,7 @@
 engine's shared evaluators and saturated bounds give the same trace as a
 fresh slice and evaluator for every (n, M)."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -157,12 +158,41 @@ def test_integrate_cell_trace_matches_fresh_slices(f, anchor):
     assert scanned == expected
 
 
-@pytest.mark.parametrize("bounds", [(INF, F(1, 2), F(5), F(2)), (F(5), INF), (F(1, 4),)])
-def test_slice_scan_bounds_in_any_order(bounds):
-    # 3 on x0 < 1/2 and 1 on x0 > 1/2, cut from coordinate 2 on
+def _steps():
+    """3 on x0 < 1/2 and 1 on x0 > 1/2, cut from coordinate 2 on."""
     low = Box.make({0: Interval(F(0), F(1, 2), True, False), 2: (0, F(1, 3))})
     high = Box.make({0: Interval(F(1, 2), F(1), False, True), 2: (0, F(1, 3))})
-    f = Sum((Scale(F(3), Indicator(low)), Indicator(high)))
+    return Sum((Scale(F(3), Indicator(low)), Indicator(high)))
+
+
+def test_trace_is_a_read_only_sequence_of_rows():
+    # |f| <= 4: bounds 1/2 and 1 truncate, 5 saturates, 8 and inf share its
+    # column
+    f = _steps()
+    sched = LimitSchedule(SCHED.n_values, (F(1, 2), F(1), F(5), F(8), INF))
+    result = integrate_cell(f, sched=sched)
+    rows = _reference_trace(f, Anchor(), sched)
+    trace = result.trace
+    assert len(trace) == len(rows) == len(sched.n_values) * len(sched.M_values)
+    saturated = trace.columns[2][2]
+    assert trace.columns[3][2] is saturated and trace.columns[4][2] is saturated
+    assert list(trace) == rows
+    assert trace[3] == rows[3] and trace[-2:] == tuple(rows[-2:])
+    assert trace == rows and rows == trace
+    assert trace == tuple(rows) and tuple(rows) == trace
+    assert trace != rows[:-1] and trace != rows[::-1]
+    assert hash(trace) == hash(tuple(rows))
+    with pytest.raises(TypeError):
+        trace[0] = rows[0]
+    again = integrate_cell(f, sched=sched)
+    assert again == result and hash(again) == hash(result)
+    as_rows = replace(result, trace=tuple(rows))
+    assert as_rows == result and hash(as_rows) == hash(result)
+
+
+@pytest.mark.parametrize("bounds", [(INF, F(1, 2), F(5), F(2)), (F(5), INF), (F(1, 4),)])
+def test_slice_scan_bounds_in_any_order(bounds):
+    f = _steps()
     expected = [
         SliceIntegral(n, M, SliceEvaluator(slice_function(f, Anchor(), n)).integral_at(M))
         for M in bounds
