@@ -147,9 +147,6 @@ class LatticeVector:
         return self.entries
 
 
-ZERO_LATTICE = LatticeVector()
-
-
 @dataclass(frozen=True)
 class Box:
     """Finitely many explicit per-coordinate constraints plus one tail constraint."""

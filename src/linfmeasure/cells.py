@@ -147,10 +147,6 @@ class CompatibilityReport:
     def passed(self) -> bool:
         return all(r.ok for r in self.rows)
 
-    @property
-    def failures(self) -> tuple:
-        return tuple(r for r in self.rows if not r.ok)
-
 
 def compatibility_check(
     t: SparseVector, t2: SparseVector, samples: Sequence[Box]
@@ -198,11 +194,8 @@ def cell_mass(u: BoxUnion, z: LatticeVector) -> ExtendedRational:
     return union_measure(u.intersect_box(cell_box))
 
 
-def nz_set(q: NZQuery, strict: bool = True) -> List[LatticeVector]:
-    """Lattice vectors in the window where the shifted set keeps > delta mass.
-
-    With ``strict=False`` the comparison is >= delta instead.
-    """
+def nz_set(q: NZQuery) -> List[LatticeVector]:
+    """Lattice vectors in the window where the shifted set keeps > delta mass."""
     for b in q.set.boxes:
         if b.tail.total_length > 1:
             raise NotFinitelyCellCoverable(
@@ -212,7 +205,7 @@ def nz_set(q: NZQuery, strict: bool = True) -> List[LatticeVector]:
     members = []
     for z in q.window:
         m = cell_mass(shifted, z)
-        if (m > q.delta) if strict else (m >= q.delta):
+        if m > q.delta:
             members.append(z)
     return sorted(members, key=lambda z: z.sort_key())
 

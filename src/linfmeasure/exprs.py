@@ -3,7 +3,8 @@
 Functions are structured trees rather than opaque callables so that slicing
 to finitely many coordinates, support extraction, and exact integration of
 piecewise-constant forms are all possible.  Evaluation at finitely supported
-rational points is exact.
+rational points is exact.  Slicing and ``support``, like ``quadrature.normalize``,
+carry the shifts of ``Translate`` nodes down the tree to the leaves.
 """
 
 from __future__ import annotations
@@ -284,16 +285,9 @@ def _slice(f: Expr, d: SparseVector, a: SparseVector, n: int) -> Expr:
     if isinstance(f, Scale):
         return Scale(f.coef, _slice(f.arg, d, a, n))
     if isinstance(f, Piecewise):
-        i = f.index
-        if i <= n:
-            di = d.get(i)
-            if di == 0:
-                return f
-            pieces = tuple(
-                (iu.translate(-di), _poly_shift(coeffs, di)) for iu, coeffs in f.pieces
-            )
-            return Piecewise(i, pieces)
-        return Const(evaluate(f, {i: a.get(i)}))
+        if f.index <= n:
+            return _shift_piecewise(f, d.get(f.index))
+        return Const(evaluate(f, {f.index: a.get(f.index)}))
     if isinstance(f, Indicator):
         kept = []
         for b in f.region.boxes:
@@ -380,6 +374,15 @@ def _slice_box(b: Box, d: SparseVector, a: SparseVector, n: int) -> Optional[Box
     return Box(tuple(entries), UNIT_UNION)
 
 
+def _shift_piecewise(f: Piecewise, c: Fraction) -> Piecewise:
+    """The node x -> f(x + c e_i) on f's coordinate i; f itself for c = 0."""
+    if c == 0:
+        return f
+    return Piecewise(
+        f.index, tuple((iu.translate(-c), _poly_shift(coeffs, c)) for iu, coeffs in f.pieces)
+    )
+
+
 def _poly_shift(coeffs: Tuple[Fraction, ...], c: Fraction) -> Tuple[Fraction, ...]:
     """Coefficients of p(x + c) given those of p(x), via Horner."""
     res = [Fraction(0)]
@@ -411,7 +414,7 @@ class _PartialBox:
 def support(f: Expr):
     """A box union S with {f != 0} contained in S and S \\ {f != 0} null,
     for structured trees; UNKNOWN otherwise."""
-    parts = _support(f)
+    parts = _support(f, ZERO_VECTOR)
     if parts is UNKNOWN:
         return UNKNOWN
     boxes = []
@@ -422,18 +425,19 @@ def support(f: Expr):
     return BoxUnion(tuple(boxes)).simplify()
 
 
-def _support(f: Expr):
+def _support(f: Expr, shift: SparseVector):
+    """The support parts of x -> f(x + shift)."""
     if isinstance(f, Const):
         return [] if f.value == 0 else [_PartialBox({}, None)]
     if isinstance(f, Coord):
         # zero only on a null hyperplane
         return [_PartialBox({}, None)]
     if isinstance(f, Scale):
-        return [] if f.coef == 0 else _support(f.arg)
+        return [] if f.coef == 0 else _support(f.arg, shift)
     if isinstance(f, Sum):
         out = []
         for t in f.terms:
-            p = _support(t)
+            p = _support(t, shift)
             if p is UNKNOWN:
                 return UNKNOWN
             out.extend(p)
@@ -441,62 +445,61 @@ def _support(f: Expr):
     if isinstance(f, Prod):
         acc = [_PartialBox({}, None)]
         for g in f.factors:
-            p = _support(g)
+            p = _support(g, shift)
             if p is UNKNOWN:
                 return UNKNOWN
             acc = _cross_intersect(acc, p)
         return acc
     if isinstance(f, Piecewise):
+        f = _shift_piecewise(f, shift.get(f.index))
         live = IntervalUnion(())
         for iu, coeffs in f.pieces:
             if any(c != 0 for c in coeffs):
                 live = live.union(iu)
         return [] if live.is_empty else [_PartialBox({f.index: live}, None)]
     if isinstance(f, Indicator):
-        return [
-            _PartialBox({i: c for i, c in b.explicit}, b.tail) for b in f.region.boxes
-        ]
+        return _region_parts(f.region, shift)
     if isinstance(f, Translate):
-        parts = _support(f.arg)
-        if parts is UNKNOWN:
-            return UNKNOWN
-        out = []
-        for p in parts:
-            constraints = dict(p.constraints)
-            for i, v in f.shift.entries:
-                base = constraints.get(i, p.tail)
-                if base is None:
-                    continue  # shift of an unconstrained coordinate
-                constraints[i] = base.translate(-v)
-            out.append(_PartialBox(constraints, p.tail))
-        return out
+        return _support(f.arg, shift + f.shift)
     if isinstance(f, (Clamp, Abs)):
-        return _support(f.arg)
+        return _support(f.arg, shift)
     if isinstance(f, Series):
         if f.support_hint is None:
             return UNKNOWN
-        return [
-            _PartialBox({i: c for i, c in b.explicit}, b.tail)
-            for b in f.support_hint.boxes
-        ]
+        return _region_parts(f.support_hint, shift)
     raise TypeError(f"unknown expression node {type(f).__name__}")
 
 
+def _region_parts(region: BoxUnion, shift: SparseVector) -> list:
+    """The boxes of region - shift, each shifted coordinate made explicit;
+    read off the boxes rather than built as translated ``Box`` objects,
+    whose canonical construction would dominate a shifted support."""
+    parts = []
+    for b in region.boxes:
+        constraints = dict(b.explicit)
+        for i, v in shift.entries:
+            constraints[i] = constraints.get(i, b.tail).translate(-v)
+        parts.append(_PartialBox(constraints, b.tail))
+    return parts
+
+
+def _meet(a: Optional[IntervalUnion], b: Optional[IntervalUnion]):
+    """Intersection of two constraints, None meaning unconstrained."""
+    return b if a is None else a if b is None else a.intersect(b)
+
+
 def _cross_intersect(a: list, b: list) -> list:
+    """Pairwise intersections; an explicit constraint meets the other tail."""
     out = []
     for p in a:
         for q in b:
-            constraints = dict(p.constraints)
-            for i, c in q.constraints.items():
-                constraints[i] = constraints[i].intersect(c) if i in constraints else c
-            if p.tail is None:
-                tail = q.tail
-            elif q.tail is None:
-                tail = p.tail
-            else:
-                tail = p.tail.intersect(q.tail)
+            tail = _meet(p.tail, q.tail)
             if tail is not None and tail.is_empty:
                 continue
+            constraints = {
+                i: _meet(p.constraints.get(i, p.tail), q.constraints.get(i, q.tail))
+                for i in p.constraints.keys() | q.constraints.keys()
+            }
             if any(c.is_empty for c in constraints.values()):
                 continue
             out.append(_PartialBox(constraints, tail))

@@ -257,13 +257,6 @@ class IntervalUnion:
             object.__setattr__(self, "_hash", h)
             return h
 
-    @property
-    def hull(self) -> Interval:
-        if self.is_empty:
-            return EMPTY_INTERVAL
-        lo, hi = self.components[0], self.components[-1]
-        return Interval(lo.lo, hi.hi, lo.lo_closed, hi.hi_closed)
-
     def contains(self, x) -> bool:
         return any(c.contains(x) for c in self.components)
 

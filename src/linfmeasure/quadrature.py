@@ -5,7 +5,9 @@
 factor is a univariate piecewise polynomial (zero outside its pieces) or a
 free polynomial on the whole axis; no tail leaves the other coordinates
 unconstrained.  The form holds on the whole space, so Fubini splits read it
-directly.  A slice reads its restriction to the unit cube
+directly.  A ``Translate`` adds its shift to one carried down the tree, and
+each leaf applies it once, so a ``Clamp`` or ``Abs`` below a shift sees the
+shifted argument.  A slice reads its restriction to the unit cube
 (``restrict_to_cube``), which is integrated in rational arithmetic.
 ``Clamp`` and ``Abs`` build constant pieces of that restriction, so they are
 exact on slices only.  Magnitude truncation uses the hard-drop semantics
@@ -17,11 +19,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .boxes import coerce_union, union_disjointify
+from .boxes import SparseVector, ZERO_VECTOR, coerce_union, union_disjointify
 from .errors import FormNotExact
 from .exprs import (
     Abs,
@@ -38,7 +40,7 @@ from .exprs import (
     Sum,
     Translate,
     _poly_at,
-    _poly_shift,
+    _shift_piecewise,
 )
 from .intervals import INF, Interval, IntervalUnion, UNIT_INTERVAL, UNIT_UNION, frac
 
@@ -99,12 +101,6 @@ class PiecewisePoly:
                 out.append((seg, _poly_mul(ca, cb)))
         return PiecewisePoly(tuple(out))
 
-    def shift(self, c: Fraction) -> "PiecewisePoly":
-        """The factor x -> self(x + c)."""
-        return PiecewisePoly(
-            tuple((iv.translate(-c), _poly_shift(coeffs, c)) for iv, coeffs in self.pieces)
-        )
-
     def is_constant(self) -> bool:
         return all(len(coeffs) == 1 for _, coeffs in self.pieces)
 
@@ -142,8 +138,6 @@ def _poly_definite_integral(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
 # polynomial on the whole axis, written as its coefficient tuple.
 Factor = Union[PiecewisePoly, tuple]
 
-_FREE_X = (Fraction(0), Fraction(1))
-
 
 def _mul_factors(a: Factor, b: Factor) -> Factor:
     if type(a) is tuple:
@@ -153,10 +147,6 @@ def _mul_factors(a: Factor, b: Factor) -> Factor:
     if type(b) is tuple:
         return PiecewisePoly(tuple((iv, _poly_mul(c, b)) for iv, c in a.pieces))
     return a.multiply(b)
-
-
-def _shift_factor(f: Factor, c: Fraction) -> Factor:
-    return _poly_shift(f, c) if type(f) is tuple else f.shift(c)
 
 
 @dataclass(frozen=True)
@@ -180,37 +170,44 @@ def normalize(expr: Expr) -> List[SeparableTerm]:
 
     Raises FormNotExact for trees outside the structured class.
     """
+    return _normalize(expr, ZERO_VECTOR)
+
+
+def _normalize(expr: Expr, shift: SparseVector) -> List[SeparableTerm]:
+    """The terms of x -> expr(x + shift); each leaf applies the shift."""
     if isinstance(expr, Const):
         return [] if expr.value == 0 else [_term(expr.value, {})]
     if isinstance(expr, Coord):
-        return [_term(1, {expr.index: _FREE_X})]
+        return [_term(1, {expr.index: (shift.get(expr.index), Fraction(1))})]
     if isinstance(expr, Scale):
         if expr.coef == 0:
             return []
         return [
             SeparableTerm(expr.coef * t.coef, t.factors, t.tail)
-            for t in normalize(expr.arg)
+            for t in _normalize(expr.arg, shift)
         ]
     if isinstance(expr, Sum):
         out: List[SeparableTerm] = []
         for t in expr.terms:
-            out.extend(normalize(t))
+            out.extend(_normalize(t, shift))
         return out
     if isinstance(expr, Prod):
         acc = [_term(1, {})]
         for g in expr.factors:
-            acc = _cross_multiply(acc, normalize(g))
+            acc = _cross_multiply(acc, _normalize(g, shift))
         return acc
     if isinstance(expr, Piecewise):
+        expr = _shift_piecewise(expr, shift.get(expr.index))
         return [
             _term(1, {expr.index: PiecewisePoly(tuple((c, coeffs) for c in iu.components))})
             for iu, coeffs in expr.pieces
             if not iu.is_empty
         ]
     if isinstance(expr, Indicator):
+        region = expr.region if shift.is_zero else expr.region.translate(-shift)
         out = []
         made: Dict[IntervalUnion, PiecewisePoly] = {}  # one factor per distinct union
-        for b in union_disjointify(expr.region).boxes:
+        for b in union_disjointify(region).boxes:
             factors = []
             for i, c in b.explicit:  # sorted by coordinate
                 fac = made.get(c)
@@ -220,26 +217,14 @@ def normalize(expr: Expr) -> List[SeparableTerm]:
             out.append(SeparableTerm(Fraction(1), tuple(factors), b.tail))
         return out
     if isinstance(expr, Translate):
-        if isinstance(expr.arg, (Abs, Clamp)):  # both commute with a shift
-            return normalize(replace(expr.arg, arg=Translate(expr.arg.arg, expr.shift)))
-        out = []
-        for t in normalize(expr.arg):
-            factors = dict(t.factors)
-            for i, v in expr.shift.entries:
-                if i in factors:
-                    factors[i] = _shift_factor(factors[i], v)
-                elif t.tail is not None:
-                    # the tail constraint on this coordinate becomes explicit
-                    factors[i] = PiecewisePoly.constant_on(t.tail.translate(-v))
-            out.append(_term(t.coef, factors, t.tail))
-        return out
+        return _normalize(expr.arg, shift + expr.shift)
     if isinstance(expr, Clamp):
-        terms = restrict_to_cube(normalize(expr.arg))
+        terms = restrict_to_cube(_normalize(expr.arg, shift))
         if expr.bound == INF or _terms_bound(terms) <= expr.bound:
             return terms  # truncation provably inactive
         return _piece_terms(terms, lambda v: v if abs(v) <= expr.bound else 0, "truncation")
     if isinstance(expr, Abs):
-        return _piece_terms(restrict_to_cube(normalize(expr.arg)), abs, "absolute value")
+        return _piece_terms(restrict_to_cube(_normalize(expr.arg, shift)), abs, "absolute value")
     if isinstance(expr, Series):
         raise FormNotExact("series must be sliced before exact integration")
     raise FormNotExact(f"cannot normalize node {type(expr).__name__}")

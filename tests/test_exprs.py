@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfmeasure.boxes import Box, BoxUnion, SparseVector, union_measure, unit_cell
+from linfmeasure.cells import ORIGIN_CELL
 from linfmeasure.errors import SeriesNotSummable
 from linfmeasure.exprs import (
     Abs,
@@ -31,6 +32,7 @@ from linfmeasure.exprs import (
     translate,
 )
 from linfmeasure.intervals import Interval, IntervalUnion
+from linfmeasure.limits import integrate_global
 from linfmeasure.library import (
     THIRDS_UNION,
     spike_series,
@@ -169,6 +171,18 @@ def test_support_of_indicator_and_products():
     supp = support(f)
     assert supp is not UNKNOWN
     assert union_measure(supp) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("cell_first", [True, False])
+def test_support_of_a_product_meets_the_other_factors_tail(cell_first):
+    # the step reads coordinate 0 on [0,3]; the unit cell's tail cuts it to [0,1]
+    cell = indicator(BoxUnion.of(unit_cell()))
+    step = piecewise_const(0, [((0, 3), 1)])
+    f = mul(cell, step) if cell_first else mul(step, cell)
+    assert support(f) == BoxUnion.of(unit_cell())
+    result = integrate_global(f)
+    assert result.value == 1
+    assert result.cells_used == (ORIGIN_CELL,)
 
 
 def test_support_of_spike_is_null():

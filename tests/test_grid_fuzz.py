@@ -7,6 +7,7 @@ midpoints, which is exact for such functions, and never touches the
 separable normal form that slices and Fubini splits are integrated through.
 """
 
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import event, given, settings, strategies as st
 from linfmeasure.boxes import Box, BoxUnion, SparseVector, unit_cell
 from linfmeasure.errors import FormNotExact
 from linfmeasure.exprs import (
+    UNKNOWN,
     Abs,
     Anchor,
     Clamp,
@@ -23,10 +25,13 @@ from linfmeasure.exprs import (
     Indicator,
     Prod,
     Scale,
+    SlicedFunction,
     Sum,
     Translate,
+    evaluate,
     piecewise_const,
     slice_function,
+    support,
 )
 from linfmeasure.fubini import CoordinateSplit, fubini_check
 from linfmeasure.intervals import INF
@@ -43,6 +48,8 @@ COORDS = st.integers(0, DIMS - 1)
 ENDS = st.integers(-Q, 2 * Q).map(lambda k: F(k, Q))
 VALUES = st.sampled_from([F(-2), F(-1), F(1, 2), F(1), F(3)])
 BOUNDS = (F(1, 2), F(2), INF)
+COEFS = st.sampled_from([F(-2), F(-1, 2), F(1, 2), F(3)])
+CLAMPS = st.sampled_from([F(1, 2), F(1), F(2)])
 SPLITS = [
     CoordinateSplit("finite", (0,)),
     CoordinateSplit("finite", (0, 2)),
@@ -88,7 +95,7 @@ SHIFTS = st.builds(
 
 def _extend(children, clip: bool):
     nodes = [
-        st.builds(Scale, st.sampled_from([F(-2), F(-1, 2), F(1, 2), F(3)]), children),
+        st.builds(Scale, COEFS, children),
         st.builds(lambda a, b: Sum((a, b)), children, children),
         st.builds(lambda a, b: Prod((a, b)), children, children),
         st.builds(Translate, children, SHIFTS),
@@ -96,13 +103,25 @@ def _extend(children, clip: bool):
     if clip:
         nodes += [
             st.builds(Abs, children),
-            st.builds(Clamp, children, st.sampled_from([F(1, 2), F(1), F(2)])),
+            st.builds(Clamp, children, CLAMPS),
         ]
     return st.one_of(*nodes)
 
 
 TREES = st.recursive(LEAVES, lambda c: _extend(c, True), max_leaves=5)
 SPLIT_TREES = st.recursive(LEAVES, lambda c: _extend(c, False), max_leaves=5)
+# a shift above a node that holds a clipped tree: the clip must see the
+# shifted argument, not its own restriction to the cube shifted afterwards
+CLIPPED = st.one_of(st.builds(Abs, TREES), st.builds(Clamp, TREES, CLAMPS))
+SHIFTED_CLIPS = st.builds(
+    Translate,
+    st.one_of(
+        st.builds(Scale, COEFS, CLIPPED),
+        st.builds(lambda a, b: Sum((a, b)), CLIPPED, TREES),
+        st.builds(lambda a, b: Prod((a, b)), TREES, CLIPPED),
+    ),
+    SHIFTS,
+)
 
 
 @given(
@@ -123,6 +142,37 @@ def test_slice_integrals_match_grid_oracle(f, n, origin, frozen):
             continue
         event(f"M={M}: exact")
         assert value == grid_average(f, n, M, Q, origin, frozen)
+
+
+@given(st.one_of(TREES, SHIFTED_CLIPS))
+@settings(max_examples=400, deadline=None)
+def test_hand_built_slice_integrals_match_grid_oracle(f):
+    # the tree itself is the slice body, so every Translate reaches normalize
+    g = SlicedFunction(DIMS, f)
+    for M in BOUNDS:
+        try:
+            value = integrate_slice(g, QuadratureSpec(M)).value
+        except FormNotExact:
+            event(f"M={M}: not exact")
+            continue
+        event(f"M={M}: exact")
+        assert value == grid_average(f, DIMS - 1, M, Q)
+
+
+MIDPOINTS = [F(2 * k + 1, 2 * Q) for k in range(-Q, 2 * Q)]  # cells of [-1,2]
+
+
+@given(TREES)
+@settings(max_examples=100, deadline=None)
+def test_support_holds_every_nonzero_grid_cell(f):
+    supp = support(f)
+    if supp is UNKNOWN:
+        event("unknown support")
+        return
+    for x in itertools.product(MIDPOINTS, repeat=DIMS):
+        point = dict(enumerate(x))
+        if evaluate(f, point) != 0:
+            assert supp.contains_point(point), point
 
 
 @given(SPLIT_TREES, st.booleans())

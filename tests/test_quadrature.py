@@ -11,13 +11,20 @@ from linfmeasure.exprs import (
     Abs,
     Anchor,
     Clamp,
+    Const,
     Coord,
     Indicator,
+    Piecewise,
+    Prod,
+    Scale,
     SlicedFunction,
+    Sum,
     Translate,
+    _shift_piecewise,
     add,
     const,
     coord,
+    evaluate,
     indicator,
     mul,
     piecewise_const,
@@ -62,7 +69,8 @@ def test_piecewise_poly_algebra():
     q = PiecewisePoly.poly((1, 1))  # 1 + x on [0,1]
     assert p.integral_over() == Fraction(1, 2)
     assert p.multiply(q).integral_over() == Fraction(1, 2) + Fraction(1, 3)
-    assert p.shift(Fraction(1, 4)).evaluate(Fraction(1, 4)) == Fraction(1, 2)
+    x = Piecewise(0, (((0, 1), (0, 1)),))  # x on [0,1]
+    assert evaluate(_shift_piecewise(x, Fraction(1, 4)), {0: Fraction(1, 4)}) == Fraction(1, 2)
     assert PiecewisePoly.constant_on(
         IntervalUnion.coerce((0, Fraction(1, 2))), Fraction(3)
     ).integral_over() == Fraction(3, 2)
@@ -313,7 +321,13 @@ def test_hand_built_slice_with_a_restrictive_tail_is_not_exact():
 
 @pytest.mark.parametrize(
     "clip, expected",
-    [(Abs, Fraction(5, 8)), (lambda g: Clamp(g, Fraction(2)), Fraction(1, 4))],
+    [
+        (Abs, Fraction(5, 8)),
+        (lambda g: Clamp(g, Fraction(2)), Fraction(1, 4)),
+        (lambda g: Scale(Fraction(2), Abs(g)), Fraction(5, 4)),
+        (lambda g: Sum((Abs(g), Const(Fraction(0)))), Fraction(5, 8)),
+        (lambda g: Prod((Const(Fraction(1)), Clamp(g, Fraction(2)))), Fraction(1, 4)),
+    ],
 )
 def test_hand_built_slice_translates_through_abs_and_clamp(clip, expected):
     # the inner shift moves pw's pieces on [0, 1/2] to [-1/2, 0] and the
