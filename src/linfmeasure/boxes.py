@@ -215,9 +215,10 @@ class Box:
     def translate(self, t: SparseVector) -> "Box":
         if self.is_empty:
             return EMPTY_BOX
-        coords = sorted(set(self.coords) | set(t.support))
-        entries = tuple((i, self.constraint(i).translate(t.get(i))) for i in coords)
-        return Box(entries, self.tail)
+        explicit = dict(self.explicit)
+        for i, v in t.entries:
+            explicit[i] = explicit.get(i, self.tail).translate(v)
+        return Box(tuple(explicit.items()), self.tail)
 
     def measure(self) -> ExtendedRational:
         """Product of explicit lengths times the tail factor (0 / 1 / +inf)."""

@@ -3,8 +3,9 @@
 Functions are structured trees rather than opaque callables so that slicing
 to finitely many coordinates, support extraction, and exact integration of
 piecewise-constant forms are all possible.  Evaluation at finitely supported
-rational points is exact.  Slicing and ``support``, like ``quadrature.normalize``,
-carry the shifts of ``Translate`` nodes down the tree to the leaves.
+rational points is exact.  Slicing, like ``quadrature.normalize``, carries the
+shifts of ``Translate`` nodes down the tree to the leaves.  ``support`` is read
+off the separable normal form of ``quadrature.normalize``, one box per term.
 """
 
 from __future__ import annotations
@@ -401,106 +402,65 @@ def _poly_shift(coeffs: Tuple[Fraction, ...], c: Fraction) -> Tuple[Fraction, ..
 UNKNOWN = object()  # sentinel: support not computable for this tree
 
 
-@dataclass
-class _PartialBox:
-    constraints: dict  # coord -> IntervalUnion
-    tail: Optional[IntervalUnion]  # None = unconstrained
-
-    def to_box(self) -> Box:
-        assert self.tail is not None
-        return Box(tuple(self.constraints.items()), self.tail)
-
-
 def support(f: Expr):
     """A box union S with {f != 0} contained in S and S \\ {f != 0} null,
-    for structured trees; UNKNOWN otherwise."""
-    parts = _support(f, ZERO_VECTOR)
-    if parts is UNKNOWN:
+    for structured trees; UNKNOWN otherwise.
+
+    S is read off the separable normal form of ``_support_tree(f)``: each
+    term gives the box of its factors' nonzero pieces and its tail.  A term
+    with no tail leaves some coordinate unbounded, so its support is UNKNOWN.
+    """
+    from .quadrature import normalize  # quadrature imports this module
+
+    tree = _support_tree(f)
+    if tree is UNKNOWN:
         return UNKNOWN
     boxes = []
-    for p in parts:
-        if p.tail is None:
+    for t in normalize(tree):
+        # a free factor (a coefficient tuple) only comes in a term with no tail
+        explicit = [
+            (i, IntervalUnion(tuple(iv for iv, coeffs in fac.pieces if any(coeffs))))
+            for i, fac in t.factors
+            if type(fac) is not tuple
+        ]
+        if any(c.is_empty for _, c in explicit):
+            continue
+        if t.tail is None:
             return UNKNOWN
-        boxes.append(p.to_box())
+        boxes.append(Box(tuple(explicit), t.tail))
     return BoxUnion(tuple(boxes)).simplify()
 
 
-def _support(f: Expr, shift: SparseVector):
-    """The support parts of x -> f(x + shift)."""
-    if isinstance(f, Const):
-        return [] if f.value == 0 else [_PartialBox({}, None)]
-    if isinstance(f, Coord):
-        # zero only on a null hyperplane
-        return [_PartialBox({}, None)]
+def _support_tree(f: Expr):
+    """A tree with the support of f that ``normalize`` reads on the whole
+    space, or UNKNOWN: ``Clamp`` and ``Abs`` give way to their argument
+    (``normalize`` would restrict them to the unit cube), a ``Series`` to
+    the indicator of its support hint, and an indicator to one indicator
+    per box, so that no two boxes of a region are ever disjointified."""
+    if isinstance(f, (Sum, Prod)):
+        parts = []
+        for g in f.terms if isinstance(f, Sum) else f.factors:
+            p = _support_tree(g)
+            if p is UNKNOWN:
+                return UNKNOWN
+            parts.append(p)
+        return type(f)(tuple(parts))
     if isinstance(f, Scale):
-        return [] if f.coef == 0 else _support(f.arg, shift)
-    if isinstance(f, Sum):
-        out = []
-        for t in f.terms:
-            p = _support(t, shift)
-            if p is UNKNOWN:
-                return UNKNOWN
-            out.extend(p)
-        return out
-    if isinstance(f, Prod):
-        acc = [_PartialBox({}, None)]
-        for g in f.factors:
-            p = _support(g, shift)
-            if p is UNKNOWN:
-                return UNKNOWN
-            acc = _cross_intersect(acc, p)
-        return acc
-    if isinstance(f, Piecewise):
-        f = _shift_piecewise(f, shift.get(f.index))
-        live = IntervalUnion(())
-        for iu, coeffs in f.pieces:
-            if any(c != 0 for c in coeffs):
-                live = live.union(iu)
-        return [] if live.is_empty else [_PartialBox({f.index: live}, None)]
-    if isinstance(f, Indicator):
-        return _region_parts(f.region, shift)
+        if f.coef == 0:
+            return Const(Fraction(0))
+        arg = _support_tree(f.arg)
+        return UNKNOWN if arg is UNKNOWN else Scale(f.coef, arg)
     if isinstance(f, Translate):
-        return _support(f.arg, shift + f.shift)
+        arg = _support_tree(f.arg)
+        return UNKNOWN if arg is UNKNOWN else Translate(arg, f.shift)
     if isinstance(f, (Clamp, Abs)):
-        return _support(f.arg, shift)
+        return _support_tree(f.arg)
     if isinstance(f, Series):
         if f.support_hint is None:
             return UNKNOWN
-        return _region_parts(f.support_hint, shift)
+        return _support_tree(Indicator(f.support_hint))
+    if isinstance(f, Indicator):
+        return Sum(tuple(Indicator(BoxUnion((b,))) for b in f.region.boxes))
+    if isinstance(f, (Const, Coord, Piecewise)):
+        return f
     raise TypeError(f"unknown expression node {type(f).__name__}")
-
-
-def _region_parts(region: BoxUnion, shift: SparseVector) -> list:
-    """The boxes of region - shift, each shifted coordinate made explicit;
-    read off the boxes rather than built as translated ``Box`` objects,
-    whose canonical construction would dominate a shifted support."""
-    parts = []
-    for b in region.boxes:
-        constraints = dict(b.explicit)
-        for i, v in shift.entries:
-            constraints[i] = constraints.get(i, b.tail).translate(-v)
-        parts.append(_PartialBox(constraints, b.tail))
-    return parts
-
-
-def _meet(a: Optional[IntervalUnion], b: Optional[IntervalUnion]):
-    """Intersection of two constraints, None meaning unconstrained."""
-    return b if a is None else a if b is None else a.intersect(b)
-
-
-def _cross_intersect(a: list, b: list) -> list:
-    """Pairwise intersections; an explicit constraint meets the other tail."""
-    out = []
-    for p in a:
-        for q in b:
-            tail = _meet(p.tail, q.tail)
-            if tail is not None and tail.is_empty:
-                continue
-            constraints = {
-                i: _meet(p.constraints.get(i, p.tail), q.constraints.get(i, q.tail))
-                for i in p.constraints.keys() | q.constraints.keys()
-            }
-            if any(c.is_empty for c in constraints.values()):
-                continue
-            out.append(_PartialBox(constraints, tail))
-    return out

@@ -261,6 +261,13 @@ def integrate_cell(
     M: a sequence that merely looks flat at small M proves nothing about the
     outer limit).
     """
+    return _integrate_cell(f, cell, anchor, sched)[0]
+
+
+def _integrate_cell(
+    f: Expr, cell: Cell, anchor: Anchor, sched: LimitSchedule
+) -> Tuple[IntegralResult, _SliceCache]:
+    """``integrate_cell`` and the slice cache it ran on."""
     g = f if cell == ORIGIN_CELL else translate(f, cell.origin())
     cache = _SliceCache(g, anchor, sched.n_values)
     inner: List[_InnerLimit] = []
@@ -276,13 +283,9 @@ def integrate_cell(
         inner.append(lim)
         columns.append((cache.n_values, bound, lim.values))
     if not inner:
-        return IntegralResult(
-            value=None,
-            status="inconclusive",
-            cells_used=(cell,),
-            warnings=tuple(warnings)
-            + ("no truncation bound in the schedule could be evaluated",),
-        )
+        warnings.append("no truncation bound in the schedule could be evaluated")
+        result = IntegralResult(None, "inconclusive", cells_used=(cell,), warnings=tuple(warnings))
+        return result, cache
     if sched.M_values == (INF,):
         warnings.append(
             "untruncated: the slice limit can disagree with the integral for "
@@ -302,9 +305,9 @@ def integrate_cell(
     )
     if any(not lim.stabilized for lim in inner):
         bad = next(lim for lim in inner if not lim.stabilized)
-        return IntegralResult(value=bad.values[-1], status="inconclusive", **common)
+        return IntegralResult(value=bad.values[-1], status="inconclusive", **common), cache
     status, value = _outer_verdict([lim.values[-1] for lim in inner], sched)
-    return IntegralResult(value=value, status=status, **common)
+    return IntegralResult(value=value, status=status, **common), cache
 
 
 @dataclass(frozen=True)
@@ -335,19 +338,6 @@ def _resolve_cells(f: Expr, cells) -> Union[List[Cell], NotSigmaFinite]:
     return sigma_cover(supp)
 
 
-def _structural_bound(
-    f: Expr, cell: Cell, sched: LimitSchedule
-) -> Optional[Fraction]:
-    """Upper bound on the |f| integral over the cell from term magnitudes;
-    valid because a bounded function is integrable on a unit cell."""
-    try:
-        g = f if cell == ORIGIN_CELL else translate(f, cell.origin())
-        cache = _SliceCache(g, ZERO_ANCHOR, sched.n_values)
-        return cache.evaluator_at(max(sched.n_values)).total_bound
-    except FormNotExact:
-        return None
-
-
 def integrability_check(
     f: Expr,
     sched: LimitSchedule = DEFAULT_SCHEDULE,
@@ -373,19 +363,15 @@ def integrability_check(
         return IntegrabilityReport(verdict, reason, tuple(resolved), tuple(evidence), total)
 
     for cell in resolved:
-        res = integrate_cell(f, cell, ZERO_ANCHOR, sched)
+        res, cache = _integrate_cell(f, cell, ZERO_ANCHOR, sched)
         if res.absolute_status == "converged":
             evidence.append(CellEvidence(cell, res, res.absolute_integral))
         elif res.absolute_status == "diverged":
             return report("not-integrable", "the |f| double limit diverges on at least one cell")
         else:
-            bound = _structural_bound(f, cell, sched)
-            if bound is None:
-                return report(
-                    "inconclusive",
-                    "|f| admits neither a stabilized double limit nor a "
-                    "structural bound on every cell",
-                )
+            # a bounded function is integrable on a unit cell, so the term
+            # magnitudes of the largest slice bound the |f| integral
+            bound = cache.evaluator_at(max(sched.n_values)).total_bound
             note = f"upper bound {bound} from term magnitudes, not an exact |f| integral"
             evidence.append(CellEvidence(cell, res, bound, note))
     total = sum((e.absolute_integral for e in evidence), Fraction(0))

@@ -106,6 +106,15 @@ def test_translate_preserves_measure():
     b = Box.make({0: (0, Fraction(1, 2)), 4: (Fraction(1, 4), 1)})
     t = SparseVector.of({0: "7/3", 4: "-1/2"})
     assert b.translate(t).measure() == b.measure()
+    # coordinate 2 is shifted but left to the tail, coordinate 4 explicit
+    # but not shifted
+    moved = b.translate(SparseVector.of({0: "7/3", 2: "-1/2"}))
+    assert moved.measure() == b.measure()
+    assert moved.constraint(0) == IntervalUnion.coerce((Fraction(7, 3), Fraction(17, 6)))
+    assert moved.constraint(2) == IntervalUnion.coerce((Fraction(-1, 2), Fraction(1, 2)))
+    assert moved.constraint(4) == IntervalUnion.coerce((Fraction(1, 4), 1))
+    assert moved.constraint(3) == moved.tail == IntervalUnion.coerce((0, 1))
+    assert moved.coords == (0, 2, 4)
 
 
 def test_contains_point():

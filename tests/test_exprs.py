@@ -203,6 +203,11 @@ def test_support_unknown_for_bare_series():
     assert support(s) is UNKNOWN
 
 
+def test_zero_scale_hides_a_bare_series():
+    s = Series(term=lambda n: const(1), start=1)
+    assert support(Scale(Fraction(0), s)) == BoxUnion(())
+
+
 def test_support_of_translated_indicator():
     f = translate(
         indicator(BoxUnion.of(Box.make({0: (0, Fraction(1, 2))}))),

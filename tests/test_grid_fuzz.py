@@ -15,6 +15,7 @@ from pathlib import Path
 from hypothesis import event, given, settings, strategies as st
 
 from linfmeasure.boxes import Box, BoxUnion, SparseVector, unit_cell
+from linfmeasure.cells import sigma_cover
 from linfmeasure.errors import FormNotExact
 from linfmeasure.exprs import (
     UNKNOWN,
@@ -60,12 +61,12 @@ UNIT_CELL = Indicator(BoxUnion.of(unit_cell()))
 
 
 @st.composite
-def steps(draw):
+def steps(draw, values=VALUES):
     """A piecewise constant factor on one coordinate; its pieces may touch
     but never overlap, since evaluation takes the first piece that holds a
     point while the normal form adds them up."""
     ends = sorted(draw(st.lists(ENDS, min_size=2, max_size=4, unique=True)))
-    pieces = [((lo, hi), draw(VALUES)) for lo, hi in zip(ends[::2], ends[1::2])]
+    pieces = [((lo, hi), draw(values)) for lo, hi in zip(ends[::2], ends[1::2])]
     return piecewise_const(draw(COORDS), pieces)
 
 
@@ -93,9 +94,9 @@ SHIFTS = st.builds(
 )
 
 
-def _extend(children, clip: bool):
+def _extend(children, clip: bool, coefs=COEFS):
     nodes = [
-        st.builds(Scale, COEFS, children),
+        st.builds(Scale, coefs, children),
         st.builds(lambda a, b: Sum((a, b)), children, children),
         st.builds(lambda a, b: Prod((a, b)), children, children),
         st.builds(Translate, children, SHIFTS),
@@ -110,6 +111,13 @@ def _extend(children, clip: bool):
 
 TREES = st.recursive(LEAVES, lambda c: _extend(c, True), max_leaves=5)
 SPLIT_TREES = st.recursive(LEAVES, lambda c: _extend(c, False), max_leaves=5)
+# every value and coefficient positive, so no term can cancel another
+POSITIVE = st.sampled_from([F(1, 2), F(1), F(3)])
+POSITIVE_TREES = st.recursive(
+    st.one_of(st.builds(Const, POSITIVE), steps(POSITIVE), indicators()),
+    lambda c: _extend(c, False, POSITIVE),
+    max_leaves=5,
+)
 # a shift above a node that holds a clipped tree: the clip must see the
 # shifted argument, not its own restriction to the cube shifted afterwards
 CLIPPED = st.one_of(st.builds(Abs, TREES), st.builds(Clamp, TREES, CLAMPS))
@@ -173,6 +181,34 @@ def test_support_holds_every_nonzero_grid_cell(f):
         point = dict(enumerate(x))
         if evaluate(f, point) != 0:
             assert supp.contains_point(point), point
+
+
+WINDOW = range(-2, 3)  # lattice cells that hold every endpoint and shift
+WINDOW_MIDPOINTS = [F(2 * k + 1, 2 * Q) for k in range(Q)]  # cells of [0,1]
+
+
+@given(POSITIVE_TREES)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_support_of_a_positive_tree_is_tight_on_cells(f):
+    # without cancellation the support's cover holds exactly the cells on
+    # which f is nonzero at some grid midpoint
+    supp = support(f)
+    if supp is UNKNOWN:
+        event("unknown support")
+        return
+    covered = set()
+    for cell in sigma_cover(supp):
+        z = tuple(cell.base.get(i) for i in range(DIMS))
+        if all(v in WINDOW for v in z):
+            covered.add(z)
+    nonzero = set()
+    for z in itertools.product(WINDOW, repeat=DIMS):
+        for x in itertools.product(WINDOW_MIDPOINTS, repeat=DIMS):
+            if evaluate(f, {i: zi + xi for i, (zi, xi) in enumerate(zip(z, x))}) != 0:
+                nonzero.add(z)
+                break
+    event(f"{len(nonzero)} cells")
+    assert covered == nonzero
 
 
 @given(SPLIT_TREES, st.booleans())

@@ -22,6 +22,7 @@ from linfmeasure.limits import (
     invariance_check,
     slice_scan,
 )
+from linfmeasure import quadrature
 from linfmeasure.exprs import Piecewise
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -70,6 +71,25 @@ def test_cylinder_function_exact_quarter():
     # |f| is not piecewise-constant, so the report carries the structural
     # upper bound (sup |f| = 1 on one cell) instead of the exact |f| integral
     assert r.absolute_integral == 1
+
+
+def test_structural_bound_reuses_the_cells_evaluators(monkeypatch):
+    # |x_0| on the unit cell is not piecewise constant, so integrability
+    # reads the structural bound; it comes from the slice the cell's run
+    # already built at its horizon (n = 0), not from a second build
+    built = []
+    init = quadrature.SliceEvaluator.__init__
+
+    def counting_init(self, g):
+        built.append(g.dims)
+        init(self, g)
+
+    monkeypatch.setattr(quadrature.SliceEvaluator, "__init__", counting_init)
+    r = integrate_global(mul(coord(0), indicator(BoxUnion.of(unit_cell()))))
+    assert r.status == "converged"
+    assert r.value == Fraction(1, 2)
+    assert r.absolute_integral == 1
+    assert built == [1]
 
 
 def test_spike_truncated_double_limit_is_zero():
