@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional, Tuple, Union
 
 from .boxes import Box, BoxUnion, SparseVector, ZERO_VECTOR, coerce_union
 from .errors import SeriesNotSummable
-from .intervals import IntervalUnion, UNIT_UNION, frac
+from .intervals import EMPTY_UNION, IntervalUnion, UNIT_UNION, frac
 
 
 class Expr:
@@ -59,17 +59,22 @@ class Scale(Expr):
 
 @dataclass(frozen=True)
 class Piecewise(Expr):
-    """Univariate piecewise polynomial applied to one coordinate; 0 outside."""
+    """Univariate piecewise polynomial applied to one coordinate; 0 outside.
+    A point takes the first piece that holds it: each piece is stored
+    without the points of the earlier ones."""
 
     index: int
     pieces: tuple  # ((IntervalUnion, coeffs low-to-high), ...)
 
     def __post_init__(self):
-        norm = tuple(
-            (IntervalUnion.coerce(iu), tuple(frac(c) for c in coeffs))
-            for iu, coeffs in self.pieces
-        )
-        object.__setattr__(self, "pieces", norm)
+        norm, earlier = [], EMPTY_UNION
+        for iu, coeffs in self.pieces:
+            iu, cs = IntervalUnion.coerce(iu), [frac(c) for c in coeffs]
+            while len(cs) > 1 and cs[-1] == 0:  # one representation per polynomial
+                cs.pop()
+            norm.append((iu.difference(earlier), tuple(cs)))
+            earlier = earlier.union(iu)
+        object.__setattr__(self, "pieces", tuple(norm))
 
 
 @dataclass(frozen=True)
@@ -273,8 +278,9 @@ def _slice(f: Expr, d: SparseVector, a: SparseVector, n: int) -> Expr:
         return f
     if isinstance(f, Coord):
         if f.index <= n:
+            # one polynomial x + d_i, as in the whole-space form
             di = d.get(f.index)
-            return Sum((Coord(f.index), Const(di))) if di != 0 else f
+            return Translate(f, SparseVector(((f.index, di),))) if di != 0 else f
         return Const(a.get(f.index))
     if isinstance(f, Sum):
         return Sum(tuple(_slice(t, d, a, n) for t in f.terms))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
 
-from .boxes import Box, tail_factor
+from .boxes import Box, ZERO_VECTOR, tail_factor
 from .errors import NotDisjointifiable, SplitUnsupported
 from .exprs import Abs, Clamp, Expr, Prod, Scale, Series, Sum, Translate
 from .intervals import INF
@@ -29,7 +29,7 @@ from .limits import (
     integrability_check,
     integrate_global,
 )
-from .quadrature import PiecewisePoly, SeparableTerm, normalize
+from .quadrature import PiecewisePoly, SeparableTerm, _normalize, normalize
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,10 @@ def _side(term: SeparableTerm, split: CoordinateSplit, v_side: bool) -> Number:
     return val * tail_factor(term.tail.total_length)
 
 
-def _unsupported(expr: Expr) -> Optional[Expr]:
-    """The first Series, Clamp or Abs node of the tree in pre-order, or
-    None; a zero scale hides what is below it."""
-    if isinstance(expr, (Series, Clamp, Abs)):
+def _unsupported(expr: Expr, kinds=(Series, Clamp, Abs)) -> Optional[Expr]:
+    """The first node of the given kinds in pre-order, or None; a zero
+    scale hides what is below it, and a Series's terms are not read."""
+    if isinstance(expr, kinds):
         return expr
     if isinstance(expr, Sum):
         children = expr.terms
@@ -133,10 +133,21 @@ def _unsupported(expr: Expr) -> Optional[Expr]:
     else:
         return None
     for child in children:
-        found = _unsupported(child)
+        found = _unsupported(child, kinds)
         if found is not None:
             return found
     return None
+
+
+def _refuse(expr: Expr, kinds) -> None:
+    """Raise SplitUnsupported for the first node of the given kinds."""
+    bad = _unsupported(expr, kinds)
+    if isinstance(bad, Series):
+        raise SplitUnsupported("series must be expanded before split integration")
+    if bad is not None:
+        raise SplitUnsupported(
+            f"{type(bad).__name__} does not factor through a coordinate split"
+        )
 
 
 def normalize_global(expr: Expr) -> List[SeparableTerm]:
@@ -145,13 +156,7 @@ def normalize_global(expr: Expr) -> List[SeparableTerm]:
 
     Raises SplitUnsupported for clamp, absolute value and unexpanded series,
     whose terms hold only on a slice or need expanding first."""
-    bad = _unsupported(expr)
-    if isinstance(bad, Series):
-        raise SplitUnsupported("series must be expanded before split integration")
-    if bad is not None:
-        raise SplitUnsupported(
-            f"{type(bad).__name__} does not factor through a coordinate split"
-        )
+    _refuse(expr, (Series, Clamp, Abs))
     return normalize(expr)
 
 
@@ -170,26 +175,6 @@ def _term_iterated_value(term: SeparableTerm, split: CoordinateSplit) -> Fractio
     if v == INF or w == INF:
         raise SplitUnsupported("iterated integral is infinite on one side")
     return term.coef * v * w
-
-
-def _expand_series(expr: Expr, depth: int) -> Expr:
-    if isinstance(expr, Series):
-        return Sum(tuple(expr.term(k) for k in range(expr.start, depth + 1)))
-    if isinstance(expr, Sum):
-        return Sum(tuple(_expand_series(t, depth) for t in expr.terms))
-    if isinstance(expr, Prod):
-        return Prod(tuple(_expand_series(g, depth) for g in expr.factors))
-    if isinstance(expr, Scale):
-        return Scale(expr.coef, _expand_series(expr.arg, depth))
-    if isinstance(expr, Translate):
-        return Translate(_expand_series(expr.arg, depth), expr.shift)
-    return expr
-
-
-def _iterated_value_exact(f: Expr, split: CoordinateSplit) -> Fraction:
-    return sum(
-        (_term_iterated_value(t, split) for t in normalize_global(f)), Fraction(0)
-    )
 
 
 def iterated_integrate(
@@ -218,14 +203,28 @@ def iterated_integrate(
         "inner-slice integrability holds term-by-term for structured f; the "
         "almost-everywhere condition is not verified pointwise",
     )
-    # a tree with a Series is expanded to growing depth; one with a Clamp
-    # or Abs raises in normalize_global on either path
     if _unsupported(f) is None:
-        value = _iterated_value_exact(f, split)
+        value = sum((_term_iterated_value(t, split) for t in normalize_global(f)), Fraction(0))
         return IntegralResult(value=value, status="converged", warnings=warnings)
+
+    # each Series is summed to growing depth: every series term up to the
+    # last depth is read and normalized once, and a term enters the running
+    # sum at the largest series index it was read from
+    def read(s: Series, shift):
+        for k in range(s.start, sched.n_values[-1] + 1):
+            term = s.term(k)
+            _refuse(term, (Clamp, Abs))
+            yield k, term
+
+    _refuse(f, (Clamp, Abs))
+    terms = sorted(_normalize(f, ZERO_VECTOR, read), key=lambda t: max(t._series, default=0))
     partials: List[Fraction] = []
+    total, i = Fraction(0), 0
     for depth in sched.n_values:
-        partials.append(_iterated_value_exact(_expand_series(f, depth), split))
+        while i < len(terms) and max(terms[i]._series, default=0) <= depth:
+            total += _term_iterated_value(terms[i], split)
+            i += 1
+        partials.append(total)
         if _stabilized(partials, sched.window, sched.epsilon):
             return IntegralResult(
                 value=partials[-1], status="converged", warnings=warnings

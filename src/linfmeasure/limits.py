@@ -5,8 +5,9 @@ dimension n, then in the magnitude bound M) of finite-dimensional Lebesgue
 integrals of truncated slices.  The engine runs both limits along a finite
 schedule, detects stabilization with an auditable window criterion, and
 assembles global integrals cell by cell over a sigma-finite cover of the
-function's support.  The |f| double limit is computed in the same pass as
-the signed one, sharing the per-slice piece decomposition.
+function's support, reading a cell's slices off one whole-space form (or
+cutting them one n at a time where it cannot).  The |f| double limit is
+computed in the same pass as the signed one, sharing the pieces.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .exprs import (
 )
 from .exprs import UNKNOWN as UNKNOWN_SUPPORT
 from .intervals import INF
-from .quadrature import SliceEvaluator, SliceIntegral
+from .quadrature import SliceEvaluator, SliceIntegral, _form_evaluators
 
 # Dense while slices are cheap, then every other n up to 60.  The upper end
 # is set by the largest default truncation bound: a truncated slice of an
@@ -148,8 +149,9 @@ class _InnerLimit:
 
 
 class _SliceCache:
-    """Lazily slices and normalizes a function at increasing n, so every
-    truncation bound reuses the per-slice normalization.
+    """The evaluators of a function's slices at increasing n, shared by
+    every truncation bound: read off its whole-space form when that serves
+    the tree, else sliced and normalized one n at a time.
 
     Past the function's slice horizon every slice has the same body and the
     same integrals (each free coordinate is a unit-interval factor of 1), so
@@ -161,7 +163,10 @@ class _SliceCache:
         self.anchor = anchor
         self.n_values = tuple(n_values)
         self.horizon = slice_horizon(f, anchor)
-        self._evaluators: dict = {}
+        # all slices at once, off the form of x -> f(x + d) (no cell origin)
+        ks = {n if self.horizon is None else min(n, self.horizon) for n in self.n_values}
+        d, a = anchor.cell_origin, anchor.entries
+        self._evaluators: dict = _form_evaluators(translate(f, d), a - d, ks) or {}
 
     def evaluator_at(self, n: int) -> SliceEvaluator:
         k = n if self.horizon is None else min(n, self.horizon)

@@ -7,12 +7,13 @@ free polynomial on the whole axis; no tail leaves the other coordinates
 unconstrained.  The form holds on the whole space, so Fubini splits read it
 directly.  A ``Translate`` adds its shift to one carried down the tree, and
 each leaf applies it once, so a ``Clamp`` or ``Abs`` below a shift sees the
-shifted argument.  A slice reads its restriction to the unit cube
-(``restrict_to_cube``), which is integrated in rational arithmetic.
-``Clamp`` and ``Abs`` build constant pieces of that restriction, so they are
-exact on slices only.  Magnitude truncation uses the hard-drop semantics
-value * 1{|value| <= M}: on disjoint constant pieces, whole pieces above the
-bound are removed.
+shifted argument.  A sliced body reads its restriction to the unit cube
+(``restrict_to_cube``), integrated in rational arithmetic; the slices of a
+whole schedule are read off one whole-space form, advanced from n to n+1
+(``_form_evaluators``).  ``Clamp`` and ``Abs`` build constant pieces of the
+restriction, so they are exact on slices only.  Magnitude truncation uses
+the hard-drop semantics value * 1{|value| <= M}: on disjoint constant
+pieces, whole pieces above the bound are removed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .boxes import SparseVector, ZERO_VECTOR, coerce_union, union_disjointify
+from .boxes import SparseVector, ZERO_VECTOR, _unions_meet, coerce_union, union_disjointify
 from .errors import FormNotExact
 from .exprs import (
     Abs,
@@ -124,6 +125,8 @@ def _poly_mul(a, b):
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()  # a zero factor: one representation per polynomial
     return tuple(out)
 
 
@@ -157,10 +160,11 @@ class SeparableTerm:
     coef: Fraction
     factors: tuple  # ((coord, Factor), ...) sorted by coord
     tail: Optional[IntervalUnion] = None
+    _series: tuple = field(default=(), compare=False, repr=False)  # Series tags
 
 
-def _term(coef, factors: Dict[int, Factor], tail=None) -> SeparableTerm:
-    return SeparableTerm(frac(coef), tuple(sorted(factors.items())), tail)
+def _term(coef, factors: Dict[int, Factor], tail=None, series=()) -> SeparableTerm:
+    return SeparableTerm(frac(coef), tuple(sorted(factors.items())), tail, series)
 
 
 def normalize(expr: Expr) -> List[SeparableTerm]:
@@ -173,8 +177,10 @@ def normalize(expr: Expr) -> List[SeparableTerm]:
     return _normalize(expr, ZERO_VECTOR)
 
 
-def _normalize(expr: Expr, shift: SparseVector) -> List[SeparableTerm]:
-    """The terms of x -> expr(x + shift); each leaf applies the shift."""
+def _normalize(expr: Expr, shift: SparseVector, read=None) -> List[SeparableTerm]:
+    """The terms of x -> expr(x + shift); each leaf applies the shift.  A
+    ``Series`` is expanded if ``read(series, shift)`` is given: it yields a
+    tag and a tree per term, and that tree's terms carry the tag."""
     if isinstance(expr, Const):
         return [] if expr.value == 0 else [_term(expr.value, {})]
     if isinstance(expr, Coord):
@@ -183,18 +189,18 @@ def _normalize(expr: Expr, shift: SparseVector) -> List[SeparableTerm]:
         if expr.coef == 0:
             return []
         return [
-            SeparableTerm(expr.coef * t.coef, t.factors, t.tail)
-            for t in _normalize(expr.arg, shift)
+            SeparableTerm(expr.coef * t.coef, t.factors, t.tail, t._series)
+            for t in _normalize(expr.arg, shift, read)
         ]
     if isinstance(expr, Sum):
         out: List[SeparableTerm] = []
         for t in expr.terms:
-            out.extend(_normalize(t, shift))
+            out.extend(_normalize(t, shift, read))
         return out
     if isinstance(expr, Prod):
         acc = [_term(1, {})]
         for g in expr.factors:
-            acc = _cross_multiply(acc, _normalize(g, shift))
+            acc = _cross_multiply(acc, _normalize(g, shift, read))
         return acc
     if isinstance(expr, Piecewise):
         expr = _shift_piecewise(expr, shift.get(expr.index))
@@ -217,7 +223,7 @@ def _normalize(expr: Expr, shift: SparseVector) -> List[SeparableTerm]:
             out.append(SeparableTerm(Fraction(1), tuple(factors), b.tail))
         return out
     if isinstance(expr, Translate):
-        return _normalize(expr.arg, shift + expr.shift)
+        return _normalize(expr.arg, shift + expr.shift, read)
     if isinstance(expr, Clamp):
         terms = restrict_to_cube(_normalize(expr.arg, shift))
         if expr.bound == INF or _terms_bound(terms) <= expr.bound:
@@ -226,7 +232,13 @@ def _normalize(expr: Expr, shift: SparseVector) -> List[SeparableTerm]:
     if isinstance(expr, Abs):
         return _piece_terms(restrict_to_cube(_normalize(expr.arg, shift)), abs, "absolute value")
     if isinstance(expr, Series):
-        raise FormNotExact("series must be sliced before exact integration")
+        if read is None:
+            raise FormNotExact("series must be sliced before exact integration")
+        return [
+            SeparableTerm(t.coef, t.factors, t.tail, t._series + (tag,))
+            for tag, term in read(expr, shift)
+            for t in _normalize(term, shift, read)
+        ]
     raise FormNotExact(f"cannot normalize node {type(expr).__name__}")
 
 
@@ -256,7 +268,7 @@ def _cross_multiply(a: List[SeparableTerm], b: List[SeparableTerm]) -> List[Sepa
                 tail = s.tail if t.tail is None else t.tail
             else:
                 tail = s.tail.intersect(t.tail)
-            out.append(_term(s.coef * t.coef, factors, tail))
+            out.append(_term(s.coef * t.coef, factors, tail, s._series + t._series))
     return out
 
 
@@ -497,30 +509,27 @@ class SliceEvaluator:
         self._prefix: Optional[Tuple[list, list, list]] = None
         self._pieces_tried = False
 
+    @classmethod
+    def _of(cls, total_bound: Fraction, untruncated: Fraction, pieces) -> "SliceEvaluator":
+        """From a bound, an integral and (value, volume) pieces or None."""
+        ev = cls.__new__(cls)
+        ev.total_bound, ev._untruncated = total_bound, untruncated
+        ev._prefix = None if pieces is None else _sorted_sums(pieces)
+        ev._pieces_tried = True
+        return ev
+
     def untruncated_integral(self) -> Fraction:
         if self._untruncated is None:
             self._untruncated = exact_terms_integral(self.terms)
         return self._untruncated
 
     def _prefix_sums(self) -> Optional[Tuple[list, list, list]]:
-        """Pieces sorted by |value| with prefix sums of value*volume and
-        |value|*volume, so each truncation bound costs one bisect."""
         if not self._pieces_tried:
             self._pieces_tried = True
             pieces = to_constant_pieces(self.terms)
             if pieces is not None and pieces_disjoint(pieces):
-                ordered = sorted(pieces, key=lambda p: abs(p.value))
-                magnitudes = [abs(p.value) for p in ordered]
-                sums, abs_sums = [], []
-                acc = abs_acc = Fraction(0)
                 lengths: dict = {}
-                for p in ordered:
-                    contribution = p.value * p.volume(lengths)
-                    acc += contribution
-                    abs_acc += abs(contribution)
-                    sums.append(acc)
-                    abs_sums.append(abs_acc)
-                self._prefix = (magnitudes, sums, abs_sums)
+                self._prefix = _sorted_sums([(p.value, p.volume(lengths)) for p in pieces])
         return self._prefix
 
     def integral_at(self, bound) -> Fraction:
@@ -540,6 +549,136 @@ class SliceEvaluator:
             raise FormNotExact(f"{what} needs disjoint constant pieces")
         k = bisect.bisect_right(prefix[0], bound)
         return prefix[column][k - 1] if k else Fraction(0)
+
+
+def _sorted_sums(pieces) -> Tuple[list, list, list]:
+    """Magnitudes of (value, volume) pieces in order, with prefix sums of
+    value*volume and |value|*volume: one bisect per truncation bound."""
+    ordered = sorted(pieces, key=lambda p: abs(p[0]))
+    parts = [value * volume for value, volume in ordered]
+    sums, abs_sums = itertools.accumulate(parts), itertools.accumulate(map(abs, parts))
+    return [abs(value) for value, _ in ordered], list(sums), list(abs_sums)
+
+
+def _fits(e: Expr) -> bool:
+    """Whether slices of e read off its whole-space form: no Clamp or Abs,
+    Indicator of several boxes or Series without a sparse cutoff."""
+    if isinstance(e, (Sum, Prod)):
+        return all(_fits(g) for g in (e.terms if isinstance(e, Sum) else e.factors))
+    if isinstance(e, (Scale, Translate)):
+        return _fits(e.arg)
+    if isinstance(e, Indicator):
+        return len(e.region.boxes) <= 1
+    if isinstance(e, Series):
+        return e.sparse_cutoff is not None
+    return isinstance(e, (Const, Coord, Piecewise))
+
+
+def _coordinate(f: Factor) -> Optional[tuple]:
+    """A term's factor f on a slice coordinate, that is on [0,1]: its union,
+    whether it is constant (its pieces share their coefficients on the trees
+    ``_fits`` admits), and the multipliers other than 1 of the term's
+    (value, volume, bound, integral); None for 1 on all of [0,1]."""
+    r = restrict_to_cube([SeparableTerm(Fraction(1), ((0, f),))])[0].factors[0][1]
+    union = r.union if r.union is not None else IntervalUnion.of(*(iv for iv, _ in r.pieces))
+    row = (None, union.total_length, r.abs_bound(), r.integral_over())
+    if r.is_constant():
+        row = (r.pieces[0][1][0] if r.pieces else Fraction(0),) + row[1:]
+        if row == (1, 1, 1, 1) and union == UNIT_UNION:
+            return None
+    return union, row[0] is not None, tuple((j, v) for j, v in enumerate(row) if v not in (None, 1))
+
+
+def _frozen(t: SeparableTerm, coords, n: int, a: SparseVector) -> Fraction:
+    """t's coefficient times its factors (on ``coords``) beyond n at anchor
+    entries a; 0 if the slice at n drops t's Series term or some a_i (0 but
+    for finitely many i > n) leaves t's tail."""
+    if any(k > cut(max(n, m)) for (cut, m), k in t._series):
+        return Fraction(0)
+    value = t.coef
+    for i, fac in reversed(t.factors):
+        if i <= n:
+            break
+        value *= _poly_at(fac, a.get(i)) if type(fac) is tuple else fac.evaluate(a.get(i))
+    frozen = [Fraction(0)] + [v for i, v in a.entries if i > n and i not in coords]
+    if t.tail is not None and not all(t.tail.contains(v) for v in frozen):
+        return Fraction(0)
+    return value
+
+
+def _form_evaluators(f: Expr, a: SparseVector, n_values):
+    """{n: evaluator} of the slices at n_values with the coordinates beyond
+    n at a and no cell origin, read off one whole-space form of f; None
+    when that cannot serve f (``_fits``).
+
+    A slice keeps each term's factors and tail on coordinates <= n
+    (``_coordinate``) times a number (``_frozen``): one constant piece or
+    not constant.  From n to n+1 each term's running products take one
+    more coordinate, which may separate terms; pairs apart stay apart.
+    """
+    if not n_values or not _fits(f):
+        return None
+
+    def read(s: Series, shift: SparseVector):
+        m = (a + shift).max_index  # the series terms slice_function expands
+        for k in range(s.start, max(s.sparse_cutoff(max(n, m)) for n in n_values) + 1):
+            term = s.term(k)
+            if not _fits(term):
+                raise FormNotExact("series term outside the whole-space form")
+            yield ((s.sparse_cutoff, m), k), term
+
+    try:
+        terms = _normalize(f, ZERO_VECTOR, read)
+    except FormNotExact:
+        return None
+    facs = [dict(t.factors) for t in terms]
+    run = [[Fraction(1)] * 4 for _ in terms]  # value, volume, bound, integral
+    constant, empty, apart = [True] * len(terms), [False] * len(terms), [0] * len(terms)
+    memo: dict = {}  # id of a factor or tail -> _coordinate
+    out, last, wanted = {}, None, set(n_values)
+    for n in range(max(n_values) + 1):
+        groups: Dict[IntervalUnion, list] = {}  # terms by their union on n
+        for x, t in enumerate(terms):
+            fac = facs[x].get(n)
+            key = id(t.tail if fac is None else fac)  # t keeps it alive
+            if key not in memo:
+                g = PiecewisePoly.constant_on(t.tail) if fac is None and t.tail else fac
+                memo[key] = g and _coordinate(g)
+            co = memo[key]
+            if co:
+                constant[x] = constant[x] and co[1]
+            if co and not empty[x]:
+                for j, v in co[2]:
+                    run[x][j] *= v
+                empty[x] = co[0].is_empty
+                groups.setdefault(co[0], []).append(x)
+        members = [(u, xs, sum(1 << x for x in xs)) for u, xs in groups.items()]
+        for (u, xs, mu), (v, ys, mv) in itertools.combinations(members, 2):
+            if not _unions_meet(u, v):
+                for x in xs:
+                    apart[x] |= mv
+                for y in ys:
+                    apart[y] |= mu
+        if n not in wanted:
+            continue
+        total_bound, total, pieces, live = Fraction(0), Fraction(0), [], 0
+        for x, t in enumerate(terms):
+            coef = _frozen(t, facs[x], n, a)
+            if coef and not constant[x]:
+                pieces = None
+            if coef and not empty[x]:
+                value, volume, bound, integral = run[x]
+                total_bound += abs(coef) * bound
+                total += coef * integral
+                live |= 1 << x
+                if pieces is not None:
+                    pieces.append((coef * value, volume))
+        if any((apart[x] | 1 << x) & live != live for x in range(len(terms)) if live >> x & 1):
+            pieces = None
+        if last is None or last[:3] != (total_bound, total, pieces):
+            last = (total_bound, total, pieces, SliceEvaluator._of(total_bound, total, pieces))
+        out[n] = last[3]
+    return out
 
 
 def integrate_slice(g: SlicedFunction, spec: QuadratureSpec) -> SliceIntegral:

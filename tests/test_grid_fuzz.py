@@ -63,10 +63,12 @@ UNIT_CELL = Indicator(BoxUnion.of(unit_cell()))
 @st.composite
 def steps(draw, values=VALUES):
     """A piecewise constant factor on one coordinate; its pieces may touch
-    but never overlap, since evaluation takes the first piece that holds a
-    point while the normal form adds them up."""
-    ends = sorted(draw(st.lists(ENDS, min_size=2, max_size=4, unique=True)))
-    pieces = [((lo, hi), draw(values)) for lo, hi in zip(ends[::2], ends[1::2])]
+    or overlap, and a point takes the first piece that holds it, in
+    evaluation as in the normal form."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo, hi = sorted(draw(st.lists(ENDS, min_size=2, max_size=2, unique=True)))
+        pieces.append(((lo, hi), draw(values)))
     return piecewise_const(draw(COORDS), pieces)
 
 

@@ -22,11 +22,11 @@ from linfmeasure.limits import (
     invariance_check,
     slice_scan,
 )
-from linfmeasure import quadrature
+from linfmeasure import limits, quadrature
 from linfmeasure.exprs import Piecewise
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import spike_slice_truncated, spike_truncation_threshold
+from oracles import spike_slice_truncated, spike_slice_untruncated, spike_truncation_threshold
 
 # a small schedule that still clears the spike truncation thresholds for
 # every bound it visits (threshold(2^6) = 8, far below n = 30)
@@ -75,21 +75,49 @@ def test_cylinder_function_exact_quarter():
 
 def test_structural_bound_reuses_the_cells_evaluators(monkeypatch):
     # |x_0| on the unit cell is not piecewise constant, so integrability
-    # reads the structural bound; it comes from the slice the cell's run
-    # already built at its horizon (n = 0), not from a second build
-    built = []
+    # reads the structural bound; it comes from the evaluators the cell's
+    # run already has, not from a second build or a second read of the form
+    built, reads = [], []
     init = quadrature.SliceEvaluator.__init__
+    form = limits._form_evaluators
 
     def counting_init(self, g):
         built.append(g.dims)
         init(self, g)
 
+    def counting_form(*args):
+        reads.append(args[2])
+        return form(*args)
+
     monkeypatch.setattr(quadrature.SliceEvaluator, "__init__", counting_init)
-    r = integrate_global(mul(coord(0), indicator(BoxUnion.of(unit_cell()))))
-    assert r.status == "converged"
-    assert r.value == Fraction(1, 2)
-    assert r.absolute_integral == 1
-    assert built == [1]
+    monkeypatch.setattr(limits, "_form_evaluators", counting_form)
+    # one box: every slice is read off the whole-space form and none is cut;
+    # two boxes: the form does not serve the tree, so the run cuts the slice
+    # at its horizon (n = 0)
+    two_boxes = BoxUnion.of(unit_cell(), Box.make({0: (0, Fraction(1, 2))}))
+    for region, slices_built in ((BoxUnion.of(unit_cell()), []), (two_boxes, [1])):
+        built.clear()
+        reads.clear()
+        r = integrate_global(mul(coord(0), indicator(region)))
+        assert r.status == "converged"
+        assert r.value == Fraction(1, 2)
+        assert r.absolute_integral == 1
+        assert built == slices_built
+        assert reads == [{0}]  # one cell, one read, clipped at the horizon
+
+
+def test_long_spike_schedule_matches_the_closed_form():
+    # n dense to 24, then every other n up to 200, at the default bounds: no
+    # cliff in n, and every row is the spike's closed-form slice value
+    n_values = tuple(range(0, 25)) + tuple(range(26, 201, 2))
+    sched = LimitSchedule(n_values=n_values)
+    r = integrate_cell(spike_series(), sched=sched)
+    assert len(r.trace) == len(n_values) * len(sched.M_values)
+    for row in r.trace:
+        if row.truncation == INF:
+            assert row.value == spike_slice_untruncated(row.n)
+        else:
+            assert row.value == spike_slice_truncated(row.n, row.truncation)
 
 
 def test_spike_truncated_double_limit_is_zero():

@@ -106,6 +106,33 @@ def test_piecewise_const_integral():
     assert exact_slice(f, 0) == Fraction(2, 3) + Fraction(1, 6)
 
 
+def test_overlapping_piecewise_pieces_read_first_match():
+    # evaluation takes the first piece that holds a point, and so do the
+    # normal form and every slice integral
+    twice = Piecewise(0, (((0, 1), (1,)), ((0, 1), (1,))))
+    assert evaluate(twice, {0: Fraction(1, 2)}) == 1
+    assert exact_slice(twice, 0) == 1
+    f = Piecewise(0, (((0, Fraction(1, 2)), (2,)), ((Fraction(1, 4), 1), (3,))))
+    assert f.pieces[1][0] == IntervalUnion.of(Interval(Fraction(1, 2), Fraction(1), False, True))
+    assert exact_slice(f, 0) == 1 + Fraction(3, 2)
+    assert exact_slice(f, 0, truncation=Fraction(5, 2)) == 1
+    # one coefficient tuple per polynomial: a constant written with a zero
+    # slope is a constant piece, so truncating it is exact
+    flat = Piecewise(0, (((0, 1), (Fraction(1, 2), 0)),))
+    assert flat.pieces[0][1] == (Fraction(1, 2),)
+    assert exact_slice(flat, 0, truncation=Fraction(1, 4)) == 0
+
+
+def test_a_shifted_coordinate_is_one_polynomial_on_a_slice():
+    # (x + 1)(x - 1) = x^2 - 1 on a slice, as in the whole-space form, so its
+    # magnitude bound is 1 + 1 rather than (1 + 1)^2 from x + 1 and x - 1 read
+    # as separate terms
+    f = mul(Translate(coord(0), SparseVector.of({0: 1})), Translate(coord(0), SparseVector.of({0: -1})))
+    ev = SliceEvaluator(slice_function(f, Anchor(), 0))
+    assert ev.total_bound == 2
+    assert ev.untruncated_integral() == Fraction(1, 3) - 1
+
+
 def test_spike_untruncated_slices_are_one():
     f = spike_series()
     for n in range(0, 12):

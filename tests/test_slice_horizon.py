@@ -1,12 +1,13 @@
 """Slices past a function's horizon: the body stops changing, and the
-engine's shared evaluators and saturated bounds give the same trace as a
-fresh slice and evaluator for every (n, M)."""
+engine's evaluators (read off the whole-space form, or shared past the
+horizon) and saturated bounds give the same trace as a fresh slice and
+evaluator for every (n, M)."""
 
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from linfmeasure.boxes import Box, BoxUnion, SparseVector
 from linfmeasure.errors import FormNotExact
@@ -20,6 +21,7 @@ from linfmeasure.exprs import (
     Piecewise,
     Prod,
     Scale,
+    Series,
     Sum,
     Translate,
     slice_function,
@@ -27,8 +29,8 @@ from linfmeasure.exprs import (
 )
 from linfmeasure.intervals import INF, Interval, IntervalUnion, UNIT_UNION
 from linfmeasure.library import spike_series
-from linfmeasure.limits import LimitSchedule, integrate_cell, slice_scan
-from linfmeasure.quadrature import SliceEvaluator, SliceIntegral
+from linfmeasure.limits import LimitSchedule, _SliceCache, integrate_cell, slice_scan
+from linfmeasure.quadrature import SliceEvaluator, SliceIntegral, _form_evaluators
 
 F = Fraction
 COORDS = st.integers(0, 3)
@@ -55,6 +57,17 @@ boxes = st.builds(
 sparse = st.dictionaries(st.integers(0, 5), QUARTERS, max_size=2).map(SparseVector.of)
 small = st.integers(-3, 3).map(lambda k: F(k, 2))
 
+
+def _series(u, tail, coef, start, extra):
+    """Term k is coef on the box {x_k in u} with the given tail; the slice
+    at n keeps the terms up to n + extra."""
+    return Series(
+        term=lambda k: Scale(coef, Indicator(BoxUnion.of(Box.make({k: u}, tail=tail)))),
+        start=start,
+        sparse_cutoff=lambda k: max(k, 0) + extra,
+    )
+
+
 leaves = st.one_of(
     st.builds(Const, small),
     st.builds(Coord, COORDS),
@@ -64,6 +77,7 @@ leaves = st.one_of(
         st.lists(st.tuples(unions, st.lists(small, min_size=1, max_size=2).map(tuple)), min_size=1, max_size=2).map(tuple),
     ),
     st.builds(Indicator, st.lists(boxes, min_size=1, max_size=2).map(lambda bs: BoxUnion(tuple(bs)))),
+    st.builds(_series, unions, tails, small, st.integers(0, 2), st.integers(0, 1)),
 )
 
 
@@ -88,16 +102,19 @@ anchors = st.builds(
 SCHED = LimitSchedule(n_values=tuple(range(0, 8)), M_values=(F(1, 2), F(1), F(3), INF))
 
 
-def _restrictive_tail(f) -> bool:
-    """Whether some indicator box in the tree has a tail other than [0,1]."""
+def _unbounded_in_n(f) -> bool:
+    """Whether the tree holds a Series or an indicator box with a tail
+    other than [0,1]."""
+    if isinstance(f, Series):
+        return True
     if isinstance(f, Indicator):
         return any(b.tail != UNIT_UNION for b in f.region.boxes)
     if isinstance(f, Sum):
-        return any(_restrictive_tail(t) for t in f.terms)
+        return any(_unbounded_in_n(t) for t in f.terms)
     if isinstance(f, Prod):
-        return any(_restrictive_tail(t) for t in f.factors)
+        return any(_unbounded_in_n(t) for t in f.factors)
     if isinstance(f, (Translate, Scale, Abs, Clamp)):
-        return _restrictive_tail(f.arg)
+        return _unbounded_in_n(f.arg)
     return False
 
 
@@ -106,7 +123,7 @@ def _restrictive_tail(f) -> bool:
 def test_body_is_fixed_from_the_horizon_on(f, anchor):
     h = slice_horizon(f, anchor)
     if h is None:
-        assert _restrictive_tail(f)
+        assert _unbounded_in_n(f)
         return
     body = slice_function(f, anchor, h).body
     for n in range(h + 1, h + 6):
@@ -149,13 +166,37 @@ def _outcome(run):
         return ("raises", str(exc))
 
 
+SHIFT = SparseVector.of({0: F(1, 4), 3: F(-1, 2)})
+ONE_BOX = Indicator(BoxUnion.of(Box.make({0: (0, F(1, 2))}, tail=IntervalUnion.coerce((0, F(1, 2))))))
+OVERLAP = Sum((ONE_BOX, Scale(F(2), Indicator(BoxUnion.of(Box.make({0: (F(1, 4), 1)}))))))
+NO_ZERO = Indicator(BoxUnion.of(Box.make({0: (0, 1)}, tail=IntervalUnion.coerce((F(1, 3), 1)))))
+OFF_CUBE = Sum((Indicator(BoxUnion.of(Box.make({1: (2, 3)}))), Const(F(1))))
+
+
 @given(trees, anchors)
+@example(Prod((Translate(_series(UNIT_UNION, UNIT_UNION, F(1), 1, 1), SHIFT), ONE_BOX)), Anchor())
+@example(spike_series(), Anchor(SparseVector.of({2: F(2, 3)})))
+@example(OVERLAP, Anchor())  # two terms that no coordinate separates
+@example(NO_ZERO, Anchor(cell_origin=SHIFT))  # 0 is outside the tail
+@example(OFF_CUBE, Anchor())  # a term that misses the cube from n = 1 on
+@example(Clamp(Sum((Coord(0), ONE_BOX)), F(1)), Anchor(SHIFT, SparseVector.of({1: 1})))
 @settings(max_examples=150, deadline=None)
 def test_integrate_cell_trace_matches_fresh_slices(f, anchor):
+    # single-box trees (a series of them too) are read off the whole-space
+    # form; Clamp, Abs and several boxes are sliced at every n
+    d, a = anchor.cell_origin, anchor.entries
+    event("form" if _form_evaluators(Translate(f, d), a - d, SCHED.n_values) else "per-n slices")
     expected = _outcome(lambda: _reference_trace(f, anchor, SCHED))
     assert _outcome(lambda: integrate_cell(f, anchor=anchor, sched=SCHED).trace) == expected
     scanned = _outcome(lambda: slice_scan(f, anchor, SCHED.n_values, SCHED.M_values))
     assert scanned == expected
+
+    def cached_bounds():
+        cache = _SliceCache(f, anchor, SCHED.n_values)
+        return [cache.evaluator_at(n).total_bound for n in SCHED.n_values]
+
+    fresh = lambda: [SliceEvaluator(slice_function(f, anchor, n)).total_bound for n in SCHED.n_values]
+    assert _outcome(cached_bounds) == _outcome(fresh)
 
 
 def _steps():
