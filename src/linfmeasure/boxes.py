@@ -10,10 +10,15 @@ The measure of a box is the product of the explicit constraint lengths times
 a tail factor: 0 if the tail is shorter than 1, 1 at length exactly 1, and
 +inf beyond, with the convention 0*inf = 0.  Boundary flags never affect the
 measure (single hyperplanes are null).
+
+A union is measured after it is split into disjoint pieces; that split
+compares a box only with the kept pieces whose hulls meet its own on one
+sweep coordinate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -86,13 +91,20 @@ class SparseVector:
         return not self.entries
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other
         d = dict(self.entries)
         for i, v in other.entries:
             d[i] = d.get(i, Fraction(0)) + v
         return SparseVector(tuple(d.items()))
 
     def __neg__(self) -> "SparseVector":
-        return SparseVector(tuple((i, -v) for i, v in self.entries))
+        # negating canonical entries keeps them sorted, nonzero Fractions
+        v = object.__new__(SparseVector)
+        object.__setattr__(v, "entries", tuple((i, -x) for i, x in self.entries))
+        return v
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         return self + (-other)
@@ -369,6 +381,21 @@ def _box_minus(b: Box, a: Box) -> list:
     return pieces
 
 
+def _sweep_axis(members) -> int:
+    """The explicit coordinate that most members constrain, the lowest index
+    on ties; 0 when none has one (every hull is then read from a tail)."""
+    counts: dict = {}
+    for b in members:
+        for i, _ in b.explicit:
+            counts[i] = counts.get(i, 0) + 1
+    return max(sorted(counts), key=counts.get, default=0)
+
+
+def _hull(c: IntervalUnion) -> tuple:
+    """The smallest closed interval holding a nonempty constraint, as (lo, hi)."""
+    return c.components[0].lo, c.components[-1].hi
+
+
 def union_disjointify(u: BoxUnion) -> BoxUnion:
     """Equivalent pairwise-disjoint refinement (exact set equality).
 
@@ -376,13 +403,30 @@ def union_disjointify(u: BoxUnion) -> BoxUnion:
     pieces kept so far that share its tail, so only coordinates explicit in
     some member are split.  Members that meet with different tails have no
     finite disjoint refinement: :class:`NotDisjointifiable` is raised.
+
+    A member is compared only with the kept pieces whose hulls on one sweep
+    coordinate meet its own: a piece whose hull is apart misses the member
+    there, so cutting by it would change nothing and the tail check would
+    pass.  Kept pieces are indexed by hull start; one that meets the hull
+    [lo, hi] starts in [lo - w, hi], where no kept hull is wider than w.
     """
     if len(u.boxes) <= 1:
         return u
-    out: list = []
-    for b in dict.fromkeys(u.boxes):  # dedupe, keep order
+    members = tuple(dict.fromkeys(u.boxes))  # dedupe, keep order
+    axis = _sweep_axis(members)
+    last = members[-1]
+    out: list = []  # kept pieces, in the order they were kept
+    his: list = []  # hull end of each kept piece
+    los: list = []  # hull starts of the kept pieces, sorted,
+    keyed: list = []  # and the index in out of each
+    width = 0
+    for b in members:
+        lo, hi = _hull(b.constraint(axis))
+        start = bisect_left(los, lo - width)
+        near = keyed[start:bisect_right(los, hi, start)]
         parts = [b]
-        for p in out:
+        for k in sorted([k for k in near if his[k] >= lo]):
+            p = out[k]
             if p.tail != b.tail:
                 if _boxes_meet(p, b):
                     raise NotDisjointifiable(
@@ -391,7 +435,17 @@ def union_disjointify(u: BoxUnion) -> BoxUnion:
                     )
             else:
                 parts = [q for part in parts for q in _box_minus(part, p)]
-        out.extend(parts)
+        if b is last:  # no later member is compared with its pieces
+            out.extend(parts)
+            break
+        width = max(width, hi - lo)  # a piece's hull lies in its member's
+        for q in parts:
+            q_lo, q_hi = (lo, hi) if q is b else _hull(q.constraint(axis))
+            at = bisect_right(los, q_lo)
+            los.insert(at, q_lo)
+            keyed.insert(at, len(out))
+            his.append(q_hi)
+            out.append(q)
     return BoxUnion(tuple(out))
 
 

@@ -22,6 +22,7 @@ from .boxes import (
     LatticeVector,
     SparseVector,
     ZERO_VECTOR,
+    _boxes_meet,
     coerce_union,
     unit_cell,
     union_measure,
@@ -191,13 +192,22 @@ class NZQuery:
 
 def cell_mass(u: BoxUnion, z: LatticeVector) -> ExtendedRational:
     cell_box = unit_cell().translate(z.to_sparse())
-    return union_measure(u.intersect_box(cell_box))
+    # a member that misses the cell adds nothing
+    return union_measure(
+        BoxUnion(tuple(b.intersect(cell_box) for b in u.boxes if _boxes_meet(b, cell_box)))
+    )
+
+
+def _null_in_explicit(b: Box) -> bool:
+    """Whether some explicit constraint has length 0: the box is then null
+    whatever its tail (0 * inf = 0)."""
+    return any(not c.length_ratio()[0] for _, c in b.explicit)
 
 
 def nz_set(q: NZQuery) -> List[LatticeVector]:
     """Lattice vectors in the window where the shifted set keeps > delta mass."""
     for b in q.set.boxes:
-        if b.tail.total_length > 1:
+        if b.tail.total_length > 1 and not _null_in_explicit(b):
             raise NotFinitelyCellCoverable(
                 "tail constraint longer than 1: NZ masses are infinite on infinitely many cells"
             )
@@ -241,28 +251,23 @@ def sigma_cover(s) -> Union[List[Cell], NotSigmaFinite]:
 
     Returns :class:`NotSigmaFinite` when a tail longer than 1 forces
     uncountably many positive-measure cells, or when the tail cannot be
-    aligned with the base lattice window.
+    aligned with the base lattice window.  A box with a null explicit
+    constraint is skipped before its tail is looked at.
     """
     s = coerce_union(s)
     found = set()
     for b in s.boxes:
+        if _null_in_explicit(b):
+            continue
         if b.tail.total_length > 1:
             return NotSigmaFinite("tail constraint longer than 1")
         if not b.tail.issubset(UNIT_UNION):
             return NotSigmaFinite("tail constraint not inside the base window [0,1]")
         coords = b.coords
-        window_lists = []
-        degenerate = False
-        for c in coords:
-            windows = sorted(
-                {m for m, piece in _coordinate_windows(b.constraint(c)) if piece.length > 0}
-            )
-            if not windows:
-                degenerate = True  # the whole box is null in this coordinate
-                break
-            window_lists.append(windows)
-        if degenerate:
-            continue
+        window_lists = [
+            sorted({m for m, piece in _coordinate_windows(b.constraint(c)) if piece.length > 0})
+            for c in coords
+        ]
         for combo in itertools.product(*window_lists):
             found.add(LatticeVector(tuple(zip(coords, combo))))
     return [Cell(base=z) for z in sorted(found, key=lambda z: z.sort_key())]

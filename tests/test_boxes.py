@@ -1,9 +1,10 @@
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linfmeasure.boxes import (
     Box,
@@ -12,12 +13,14 @@ from linfmeasure.boxes import (
     LatticeVector,
     SparseVector,
     ZERO_VECTOR,
+    _box_minus,
+    _boxes_meet,
     unit_cell,
     union_disjointify,
     union_measure,
 )
-from linfmeasure.cells import patch_measure
-from linfmeasure.errors import NotDisjointifiable
+from linfmeasure.cells import NZQuery, nz_set, patch_measure
+from linfmeasure.errors import NotDisjointifiable, NotFinitelyCellCoverable
 from linfmeasure.exprs import indicator
 from linfmeasure.intervals import INF, Interval, IntervalUnion
 from linfmeasure.limits import integrate_global
@@ -55,6 +58,8 @@ def test_sparse_vector_normalizes():
     assert v.entries == ((3, Fraction(1, 2)),)
     assert v.get(1) == 0 and v.get(3) == Fraction(1, 2)
     assert (v + (-v)).is_zero
+    assert -v == SparseVector.of({3: "-1/2"}) and hash(-v) == hash(SparseVector.of({3: "-1/2"}))
+    assert v + ZERO_VECTOR == ZERO_VECTOR + v == v
 
 
 def test_lattice_vector_arithmetic():
@@ -347,18 +352,23 @@ def same_tail_unions(draw):
     return tail, specs
 
 
-@given(same_tail_unions())
-@settings(max_examples=100, deadline=None)
-def test_same_tail_disjointify_is_an_exact_partition(case):
-    tail, specs = case
+def _same_tail_union(tail, specs) -> BoxUnion:
     tail_union = IntervalUnion.of(*(Interval(*t) for t in tail))
-    u = BoxUnion.of(*(
+    return BoxUnion.of(*(
         Box.make(
             {c: IntervalUnion.of(*(Interval(*iv) for iv in ivs)) for c, ivs in explicit.items()},
             tail=tail_union,
         )
         for explicit in specs
     ))
+
+
+@given(same_tail_unions())
+@settings(max_examples=100, deadline=None)
+def test_same_tail_disjointify_is_an_exact_partition(case):
+    tail, specs = case
+    tail_union = IntervalUnion.of(*(Interval(*t) for t in tail))
+    u = _same_tail_union(tail, specs)
     pieces = union_disjointify(u).boxes
     coords = sorted(set().union(*specs))
     assert all(p.tail == tail_union and set(p.coords) <= set(coords) for p in pieces)
@@ -371,6 +381,146 @@ def test_same_tail_disjointify_is_an_exact_partition(case):
     if tail_union.total_length == 1:
         total = sum((p.measure() for p in pieces), Fraction(0))
         assert total == union_measure(u)
+
+
+def _all_pairs_disjointify(u: BoxUnion) -> BoxUnion:
+    """Reference: each member is cut by every piece kept before it."""
+    if len(u.boxes) <= 1:
+        return u
+    out: list = []
+    for b in dict.fromkeys(u.boxes):
+        parts = [b]
+        for p in out:
+            if p.tail != b.tail:
+                if _boxes_meet(p, b):
+                    raise NotDisjointifiable("overlapping boxes with different tails")
+            else:
+                parts = [q for part in parts for q in _box_minus(part, p)]
+        out.extend(parts)
+    return BoxUnion(tuple(out))
+
+
+def _assert_matches_all_pairs(u: BoxUnion) -> None:
+    try:
+        expected = _all_pairs_disjointify(u)
+    except NotDisjointifiable:
+        with pytest.raises(NotDisjointifiable):
+            union_disjointify(u)
+    else:
+        assert union_disjointify(u).boxes == expected.boxes
+
+
+SLOTS = 12
+UNIT_TAIL = IntervalUnion.coerce((0, 1))
+OTHER_TAILS = [
+    IntervalUnion.of(Interval(Fraction(0), Fraction(1), True, False)),
+    IntervalUnion.coerce((Fraction(1, 3), Fraction(4, 3))),
+]
+
+
+@st.composite
+def swept_unions(draw):
+    """Narrow boxes in slots of width 1/12 on coordinate 0, in shuffled order.
+
+    A box spans one to three slots with random end flags, so neighbours
+    touch at closed or open ends and some overlap; some leave coordinate 0
+    to the tail, some carry a constraint on coordinate 1 or 2, a few have
+    another tail, and a wide box may come after all the narrow ones."""
+    boxes = []
+    for j in draw(st.lists(st.integers(0, SLOTS - 1), min_size=2, max_size=16)):
+        explicit = {}
+        if draw(st.integers(0, 4)):
+            span = draw(st.sampled_from([1, 1, 2, 3]))
+            explicit[0] = Interval(
+                Fraction(j, SLOTS), Fraction(j + span, SLOTS), draw(st.booleans()), draw(st.booleans())
+            )
+        second = draw(st.sampled_from([None, None, None, 1, 2]))
+        if second is not None:
+            explicit[second] = Interval(*draw(raw_intervals(THIRDS)))
+        tail = draw(st.sampled_from([UNIT_TAIL] * 6 + OTHER_TAILS))
+        boxes.append(Box.make(explicit, tail=tail))
+    if draw(st.booleans()):
+        boxes.append(Box.make({0: (Fraction(-1, 2), Fraction(3, 2))}))
+    return BoxUnion.of(*boxes)
+
+
+@given(mixed_tail_unions())
+@settings(max_examples=200, deadline=None)
+def test_disjointify_matches_all_pairs_on_mixed_tails(case):
+    boxes, _ = case
+    _assert_matches_all_pairs(BoxUnion.of(*boxes))
+
+
+@given(same_tail_unions())
+@settings(max_examples=100, deadline=None)
+def test_disjointify_matches_all_pairs_on_same_tails(case):
+    _assert_matches_all_pairs(_same_tail_union(*case))
+
+
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+
+
+@given(swept_unions())
+@example(BoxUnion.of(Box.make({0: (0, HALF)}), Box.make({0: (HALF, 1)})))  # closed ends touch
+@example(BoxUnion.of(  # two candidates kept in the order opposite to their hull starts
+    Box.make({0: (HALF, 1), 1: (0, QUARTER)}),
+    Box.make({0: Interval(Fraction(0), HALF, True, False), 1: (0, QUARTER)}),
+    Box.make({0: Interval(Fraction(0), Fraction(1), True, False), 1: (0, HALF)}),
+))
+@settings(max_examples=200, deadline=None)
+def test_disjointify_matches_all_pairs_on_swept_slots(u):
+    _assert_matches_all_pairs(u)
+
+
+def test_apart_boxes_are_never_compared(monkeypatch):
+    # 400 boxes strictly inside shuffled slots of coordinate 0: the all-pairs
+    # loop compares k(k-1)/2 = 79800 pairs, the sweep none
+    k = 400
+    slots = list(range(k))
+    random.Random(13).shuffle(slots)
+    members = [
+        Box.make({
+            0: (Fraction(4 * j + 1, 4 * k), Fraction(4 * j + 3, 4 * k)),
+            1 + j % 3: (Fraction(1, 4), Fraction(3, 4)),
+        })
+        for j in slots
+    ]
+    u = BoxUnion(tuple(members))
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return _boxes_meet(a, b)
+
+    monkeypatch.setattr("linfmeasure.boxes._boxes_meet", counting)
+    assert union_disjointify(u).boxes == u.boxes
+    assert len(calls) <= 4 * k
+    assert union_measure(u) == sum((b.measure() for b in members), Fraction(0))
+
+
+NZ_WINDOW = [LatticeVector.of({0: a, 1: b}) for a in range(-2, 3) for b in range(-2, 3)]
+
+
+@given(
+    mixed_tail_unions(),
+    st.dictionaries(st.integers(0, 5), st.integers(0, 6).map(lambda k: Fraction(k, 6)), max_size=3),
+    st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
+)
+@settings(max_examples=100, deadline=None)
+def test_nz_set_matches_cell_by_cell_measures(case, shift, delta):
+    boxes, _ = case
+    u = BoxUnion.of(*boxes)
+    q = NZQuery(set=u, shift=SparseVector.of(shift), delta=delta, window=NZ_WINDOW)
+    if any(b.measure() == INF for b in u.boxes):
+        with pytest.raises(NotFinitelyCellCoverable):
+            nz_set(q)
+        return
+    shifted = u.translate(-q.shift)
+    expected = [
+        z for z in NZ_WINDOW
+        if union_measure(shifted.intersect_box(unit_cell().translate(z.to_sparse()))) > delta
+    ]
+    assert nz_set(q) == sorted(expected, key=lambda z: z.sort_key())
 
 
 # Former cliffs: sizes at which the atom grid, its merge pass or the 2^k

@@ -22,7 +22,9 @@ from linfmeasure.cells import (
     sigma_cover,
 )
 from linfmeasure.errors import NotFinitelyCellCoverable, SampleOutsideOverlap
+from linfmeasure.exprs import indicator
 from linfmeasure.intervals import INF
+from linfmeasure.limits import integrate_global
 
 
 def test_patch_measure_unit_cell():
@@ -153,6 +155,18 @@ def test_sigma_cover_skips_null_boxes():
     degenerate = Box.make({0: (Fraction(1, 2), Fraction(1, 2))})
     cover = sigma_cover(BoxUnion.of(degenerate))
     assert cover == []
+
+
+@pytest.mark.parametrize("tail", [(0, 2), (Fraction(1, 2), Fraction(3, 2))])
+def test_null_box_with_a_long_or_misplaced_tail_is_skipped(tail):
+    # a point on coordinate 0 makes the box null whatever its tail (0 * inf = 0)
+    b = Box.make({0: (Fraction(1, 2), Fraction(1, 2))}, tail=tail)
+    assert b.measure() == 0 and patch_measure(b) == 0
+    assert sigma_cover(b) == []
+    result = integrate_global(indicator(BoxUnion.of(b)))
+    assert result.status == "converged" and result.value == 0
+    window = [LatticeVector.of({0: a, 1: c}) for a in range(-2, 3) for c in range(-2, 3)]
+    assert nz_set(NZQuery(set=BoxUnion.of(b), window=window)) == []
 
 
 def test_sigma_cover_spans_windows():
