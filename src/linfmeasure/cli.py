@@ -211,12 +211,11 @@ class Problem:
         self.splits: Dict[str, CoordinateSplit] = {}
         for name, value in self._section("splits"):
             where = f"splits.{name}"
-            _object(value, where)
+            indices = _object(value, where).get("indices", [])
+            if not isinstance(indices, list) or any(type(i) is not int or i < 0 for i in indices):
+                raise ProblemError(f"{where}.indices: expected a list of nonnegative integers")
             try:
-                self.splits[name] = CoordinateSplit(
-                    kind=value.get("kind", "finite"),
-                    indices=tuple(value.get("indices", ())),
-                )
+                self.splits[name] = CoordinateSplit(value.get("kind", "finite"), tuple(indices))
             except ValueError as exc:
                 raise ProblemError(f"{where}: {exc}")
         self.schedules: Dict[str, LimitSchedule] = {}
@@ -365,14 +364,17 @@ def _parse_cells(text: str) -> List[Cell]:
         if chunk in ("", "origin"):
             cells.append(Cell())
             continue
-        entries = []
+        entries: dict = {}
         for pair in chunk.split(";"):
             coord, _, step = pair.partition(":")
             try:
-                entries.append((int(coord), int(step)))
+                i, m = int(coord), int(step)
             except ValueError:
                 raise ProblemError(f"--cells: malformed entry {pair!r}")
-        cells.append(Cell(base=LatticeVector(tuple(entries))))
+            if i < 0 or i in entries:
+                raise ProblemError(f"--cells: coordinate {i} is negative or repeated in {chunk!r}")
+            entries[i] = m
+        cells.append(Cell(base=LatticeVector(entries)))
     return cells
 
 
@@ -420,7 +422,7 @@ def _load_problem(path: str) -> Problem:
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as handle:
             handle.write(text + "\n")

@@ -69,7 +69,7 @@ class Piecewise(Expr):
     def __post_init__(self):
         norm, earlier = [], EMPTY_UNION
         for iu, coeffs in self.pieces:
-            iu, cs = IntervalUnion.coerce(iu), [frac(c) for c in coeffs]
+            iu, cs = IntervalUnion.coerce(iu), [frac(c) for c in coeffs] or [Fraction(0)]
             while len(cs) > 1 and cs[-1] == 0:  # one representation per polynomial
                 cs.pop()
             norm.append((iu.difference(earlier), tuple(cs)))
@@ -413,8 +413,9 @@ def support(f: Expr):
     for structured trees; UNKNOWN otherwise.
 
     S is read off the separable normal form of ``_support_tree(f)``: each
-    term gives the box of its factors' nonzero pieces and its tail.  A term
-    with no tail leaves some coordinate unbounded, so its support is UNKNOWN.
+    term gives the box of its factors' unions (empty for a zero factor) and
+    its tail.  A term with no tail leaves some coordinate unbounded, so its
+    support is UNKNOWN.
     """
     from .quadrature import normalize  # quadrature imports this module
 
@@ -425,7 +426,7 @@ def support(f: Expr):
     for t in normalize(tree):
         # a free factor (a coefficient tuple) only comes in a term with no tail
         explicit = [
-            (i, IntervalUnion(tuple(iv for iv, coeffs in fac.pieces if any(coeffs))))
+            (i, fac.union if any(fac.coeffs) else EMPTY_UNION)
             for i, fac in t.factors
             if type(fac) is not tuple
         ]

@@ -59,8 +59,8 @@ class LimitSchedule:
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(self.n_values))
         object.__setattr__(self, "M_values", tuple(self.M_values))
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < INF:
+            raise ValueError("epsilon must be positive and finite")
         if self.window < 2:
             raise ValueError("window must be at least 2")
         if not self.n_values or list(self.n_values) != sorted(set(self.n_values)):

@@ -2,8 +2,8 @@
 
 ``normalize`` rewrites a structured expression as a sum of separable terms
 ``coef * prod_i factor_i(x_i) * 1{x_j in tail for every other j}``.  A
-factor is a univariate piecewise polynomial (zero outside its pieces) or a
-free polynomial on the whole axis; no tail leaves the other coordinates
+factor is one univariate polynomial on an interval union (zero outside it)
+or a free polynomial on the whole axis; no tail leaves the other coordinates
 unconstrained.  The form holds on the whole space, so Fubini splits read it
 directly.  A ``Translate`` adds its shift to one carried down the tree, and
 each leaf applies it once, so a ``Clamp`` or ``Abs`` below a shift sees the
@@ -65,59 +65,44 @@ class SliceIntegral:
 
 @dataclass(frozen=True)
 class PiecewisePoly:
-    """Univariate piecewise polynomial, zero outside its pieces."""
+    """One univariate polynomial on an interval union, zero outside it."""
 
-    pieces: tuple  # ((Interval, coeffs), ...)
-    # set by constant_on: the factor is one constant on this union, whose
-    # components are the pieces; lets per-union work skip the pieces
-    union: Optional[IntervalUnion] = field(default=None, compare=False, repr=False)
+    union: IntervalUnion
+    coeffs: tuple  # low-to-high
 
     @classmethod
     def constant_on(cls, iu: IntervalUnion, value=Fraction(1)) -> "PiecewisePoly":
-        v = (frac(value),)
-        return cls(tuple((c, v) for c in iu.components), iu)
+        return cls(iu, (frac(value),))
 
     @classmethod
     def poly(cls, coeffs, over: Interval = UNIT_INTERVAL) -> "PiecewisePoly":
-        return cls(((over, tuple(frac(c) for c in coeffs)),))
+        return cls(IntervalUnion.of(over), tuple(frac(c) for c in coeffs))
 
     def evaluate(self, x):
-        for iv, coeffs in self.pieces:
-            if iv.contains(x):
-                return _poly_at(coeffs, x)
-        return Fraction(0)
+        return _poly_at(self.coeffs, x) if self.union.contains(x) else Fraction(0)
 
     def integral_over(self) -> Fraction:
-        total = Fraction(0)
-        for iv, coeffs in self.pieces:
-            if not iv.is_empty:
-                total += _poly_definite_integral(coeffs, iv.lo, iv.hi)
-        return total
+        return sum(
+            (_poly_definite_integral(self.coeffs, c.lo, c.hi) for c in self.union.components),
+            Fraction(0),
+        )
 
     def multiply(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        out = []
-        for (ia, ca), (ib, cb) in itertools.product(self.pieces, other.pieces):
-            seg = ia.intersect(ib)
-            if not seg.is_empty:
-                out.append((seg, _poly_mul(ca, cb)))
-        return PiecewisePoly(tuple(out))
+        iu = self.union.intersect(other.union)
+        return PiecewisePoly(iu, _poly_mul(self.coeffs, other.coeffs))
 
     def is_constant(self) -> bool:
-        return all(len(coeffs) == 1 for _, coeffs in self.pieces)
+        return len(self.coeffs) == 1 or self.union.is_empty
 
     def abs_bound(self) -> Fraction:
-        """Crude bound on |value| over all pieces."""
-        if self.union is not None:  # one constant on every piece
-            return abs(self.pieces[0][1][0]) if self.pieces else Fraction(0)
-        best = Fraction(0)
-        for iv, coeffs in self.pieces:
-            if len(coeffs) == 1:
-                bound = abs(coeffs[0])
-            else:
-                m = max(abs(iv.lo), abs(iv.hi))
-                bound = sum((abs(c) * m**k for k, c in enumerate(coeffs)), Fraction(0))
-            best = max(best, bound)
-        return best
+        """Crude bound on |value| over the union."""
+        comps = self.union.components
+        if not comps:
+            return Fraction(0)
+        if len(self.coeffs) == 1:
+            return abs(self.coeffs[0])
+        m = max(abs(comps[0].lo), abs(comps[-1].hi))
+        return sum((abs(c) * m**k for k, c in enumerate(self.coeffs)), Fraction(0))
 
 
 def _poly_mul(a, b):
@@ -137,8 +122,9 @@ def _poly_definite_integral(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
     return total
 
 
-# A factor is a PiecewisePoly, zero outside its pieces, or a free
-# polynomial on the whole axis, written as its coefficient tuple.
+# A factor is a PiecewisePoly, one polynomial on an interval union and zero
+# outside it, or a free polynomial on the whole axis, written as its
+# coefficient tuple.
 Factor = Union[PiecewisePoly, tuple]
 
 
@@ -148,7 +134,7 @@ def _mul_factors(a: Factor, b: Factor) -> Factor:
             return _poly_mul(a, b)
         a, b = b, a
     if type(b) is tuple:
-        return PiecewisePoly(tuple((iv, _poly_mul(c, b)) for iv, c in a.pieces))
+        return PiecewisePoly(a.union, _poly_mul(a.coeffs, b))
     return a.multiply(b)
 
 
@@ -205,7 +191,7 @@ def _normalize(expr: Expr, shift: SparseVector, read=None) -> List[SeparableTerm
     if isinstance(expr, Piecewise):
         expr = _shift_piecewise(expr, shift.get(expr.index))
         return [
-            _term(1, {expr.index: PiecewisePoly(tuple((c, coeffs) for c in iu.components))})
+            _term(1, {expr.index: PiecewisePoly(iu, coeffs)})
             for iu, coeffs in expr.pieces
             if not iu.is_empty
         ]
@@ -287,36 +273,22 @@ def restrict_to_cube(
     def clip(f: Factor) -> PiecewisePoly:
         if type(f) is tuple:
             return PiecewisePoly.poly(f)
-        if f.union is not None:
-            iu = clipped.get(f.union)
-            if iu is None:
-                iu = clipped[f.union] = _unit_part(f.union)
-            return f if iu == f.union else PiecewisePoly.constant_on(iu, f.pieces[0][1][0])
-        segs = ((iv.intersect(UNIT_INTERVAL), coeffs) for iv, coeffs in f.pieces)
-        return PiecewisePoly(tuple((seg, c) for seg, c in segs if not seg.is_empty))
+        iu = clipped.get(f.union)
+        if iu is None:
+            iu = clipped[f.union] = _unit_part(f.union)
+        return f if iu is f.union else PiecewisePoly(iu, f.coeffs)
 
     out = []
     for t in terms:
-        tail, factors = t.tail, t.factors
-        if tail is not None and tail != UNIT_UNION and _unit_part(tail).total_length != 1:
+        if t.tail is not None and t.tail != UNIT_UNION and _unit_part(t.tail).total_length != 1:
             raise FormNotExact(
                 "indicator with a restrictive tail cannot appear in a finite slice"
             )
-        # fast path: every factor is a constant on a union already seen to
-        # lie inside [0,1]
-        if not all(
-            type(f) is PiecewisePoly
-            and f.union is not None
-            and clipped.get(f.union) is f.union
-            for _, f in factors
-        ):
-            factors = tuple((i, clip(f)) for i, f in factors)
+        factors = tuple((i, clip(f)) for i, f in t.factors)
         if dims is not None and factors and factors[-1][0] >= dims:
             last = factors[-1][0]
             raise FormNotExact(f"factor on coordinate {last} outside the slice of dimension {dims}")
-        if tail is not None or factors is not t.factors:
-            t = SeparableTerm(t.coef, factors)
-        out.append(t)
+        out.append(SeparableTerm(t.coef, factors))
     return out
 
 
@@ -355,36 +327,21 @@ class ConstantPiece:
 
 def to_constant_pieces(terms: List[SeparableTerm]) -> Optional[List[ConstantPiece]]:
     """Expand terms that ``restrict_to_cube`` returned into constant
-    pieces, or None if non-constant.
-
-    Factor components sharing the same constant value stay grouped in one
-    interval union, so a term that is a single constant on a product of
-    unions yields a single piece.  A factor made by ``constant_on`` keeps
-    its union.
-    """
+    pieces, or None if non-constant: one piece per term with no empty
+    factor, constant on the product of its factors' unions."""
     pieces: List[ConstantPiece] = []
     for t in terms:
         if not all(fac.is_constant() for _, fac in t.factors):
             return None
-        per_coord = []
-        for i, fac in t.factors:
-            if fac.union is not None:
-                per_coord.append([(i, fac.union, fac.pieces[0][1][0])] if fac.pieces else [])
-                continue
-            by_value: Dict[Fraction, List[Interval]] = {}
-            for iv, coeffs in fac.pieces:
-                by_value.setdefault(coeffs[0], []).append(iv)
-            per_coord.append(
-                [(i, IntervalUnion.of(*ivs), v) for v, ivs in by_value.items()]
-            )
-        for combo in itertools.product(*per_coord):
-            num, den = t.coef.numerator, t.coef.denominator
-            constraints = []
-            for i, iu, v in combo:
-                num *= v.numerator
-                den *= v.denominator
-                constraints.append((i, iu))
-            pieces.append(ConstantPiece(Fraction(num, den), tuple(constraints)))
+        if any(fac.union.is_empty for _, fac in t.factors):
+            continue
+        num, den = t.coef.numerator, t.coef.denominator
+        for _, fac in t.factors:
+            num *= fac.coeffs[0].numerator
+            den *= fac.coeffs[0].denominator
+        pieces.append(
+            ConstantPiece(Fraction(num, den), tuple((i, fac.union) for i, fac in t.factors))
+        )
     return pieces
 
 
@@ -476,11 +433,11 @@ def exact_terms_integral(terms: List[SeparableTerm]) -> Fraction:
     for t in terms:
         num, den = t.coef.numerator, t.coef.denominator
         for _, fac in t.factors:
-            if fac.union is not None and fac.pieces:
+            if len(fac.coeffs) == 1:
                 length = unit_lengths.get(fac.union)
                 if length is None:
                     length = unit_lengths[fac.union] = fac.union.total_length
-                value = fac.pieces[0][1][0]
+                value = fac.coeffs[0]
                 num *= value.numerator * length.numerator
                 den *= value.denominator * length.denominator
             else:
@@ -576,17 +533,14 @@ def _fits(e: Expr) -> bool:
 
 def _coordinate(f: Factor) -> Optional[tuple]:
     """A term's factor f on a slice coordinate, that is on [0,1]: its union,
-    whether it is constant (its pieces share their coefficients on the trees
-    ``_fits`` admits), and the multipliers other than 1 of the term's
+    whether it is constant, and the multipliers other than 1 of the term's
     (value, volume, bound, integral); None for 1 on all of [0,1]."""
-    r = restrict_to_cube([SeparableTerm(Fraction(1), ((0, f),))])[0].factors[0][1]
-    union = r.union if r.union is not None else IntervalUnion.of(*(iv for iv, _ in r.pieces))
-    row = (None, union.total_length, r.abs_bound(), r.integral_over())
-    if r.is_constant():
-        row = (r.pieces[0][1][0] if r.pieces else Fraction(0),) + row[1:]
-        if row == (1, 1, 1, 1) and union == UNIT_UNION:
-            return None
-    return union, row[0] is not None, tuple((j, v) for j, v in enumerate(row) if v not in (None, 1))
+    r = PiecewisePoly.poly(f) if type(f) is tuple else PiecewisePoly(_unit_part(f.union), f.coeffs)
+    value = r.coeffs[0] if r.is_constant() else None
+    if value == 1 and r.union == UNIT_UNION:
+        return None
+    row = (value, r.union.total_length, r.abs_bound(), r.integral_over())
+    return r.union, value is not None, tuple((j, v) for j, v in enumerate(row) if v not in (None, 1))
 
 
 def _frozen(t: SeparableTerm, coords, n: int, a: SparseVector) -> Fraction:

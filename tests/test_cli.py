@@ -245,6 +245,23 @@ def test_reports_are_deterministic(capsys):
         ("schedules", {}, ["slice-scan", "xy", "--n", "5..2"], "--n: expected 0 <= LO <= HI"),
         ("schedules", {}, ["slice-scan", "xy", "--n", f"0..{MAX_SCHEDULE_VALUES}"],
          "--n: 10001 values"),
+        ("splits", {"v0": {"indices": 5}}, ["verify"], "splits.v0.indices"),
+        ("splits", {"v0": {"indices": ["a"]}}, ["verify"], "splits.v0.indices"),
+        ("splits", {"v0": {"indices": [-1]}}, ["verify"], "splits.v0.indices"),
+        ("splits", {"v0": {"indices": [True]}}, ["verify"], "splits.v0.indices"),
+        ("splits", {"v0": {"indices": [1.5]}}, ["verify"], "splits.v0.indices"),
+        ("schedules", {"quick": {"epsilon": "inf"}},
+         ["integrate", "xy"], "schedules.quick: epsilon must be positive and finite"),
+        ("schedules", {"quick": {"epsilon": "nan"}},
+         ["integrate", "xy"], "schedules.quick: epsilon must be positive and finite"),
+        ("schedules", {}, ["integrate", "xy", "--schedule", "epsilon=inf"],
+         "--schedule: epsilon must be positive and finite"),
+        ("schedules", {}, ["integrate", "one-on-cell", "--schedule", "epsilon=nan"],
+         "--schedule: epsilon must be positive and finite"),
+        ("schedules", {}, ["integrate", "xy", "--cells", "0:1;0:2"],
+         "--cells: coordinate 0 is negative or repeated"),
+        ("schedules", {}, ["integrate", "xy", "--cells=origin,-1:1"],
+         "--cells: coordinate -1 is negative or repeated"),
     ],
 )
 def test_problem_errors_name_their_location(capsys, tmp_path, section, value, argv, location):

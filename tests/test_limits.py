@@ -38,6 +38,17 @@ QUICK = LimitSchedule(
 XY_CELL = mul(coord(0), coord(1), indicator(BoxUnion.of(unit_cell())))
 
 
+def test_an_empty_coefficient_list_is_the_zero_polynomial():
+    # () and (0,) are one polynomial, as trailing zeros are dropped: both
+    # give constant pieces, so truncation and |f| integrate exactly
+    empty = Piecewise(0, (((0, 1), ()),))
+    zero = Piecewise(0, (((0, 1), (0,)),))
+    assert empty == zero
+    r = integrate_cell(empty, sched=QUICK)
+    assert r == integrate_cell(zero, sched=QUICK)
+    assert (r.status, r.value, r.absolute_integral) == ("converged", 0, 0)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         LimitSchedule(n_values=())
@@ -55,6 +66,12 @@ def test_schedule_validation():
         LimitSchedule(window=1)
     with pytest.raises(ValueError):
         LimitSchedule(epsilon=0)
+
+
+@pytest.mark.parametrize("epsilon", [INF, float("nan"), -INF])
+def test_schedule_epsilon_must_be_finite(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        LimitSchedule(epsilon=epsilon)
 
 
 def test_unit_cell_indicator_integrates_to_one():

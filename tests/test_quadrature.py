@@ -76,6 +76,49 @@ def test_piecewise_poly_algebra():
     ).integral_over() == Fraction(3, 2)
 
 
+# endpoints on a grid of eighths, so that components touch and share ends
+_eighths = st.integers(-8, 16).map(lambda k: Fraction(k, 8))
+
+
+@st.composite
+def _polys_on_unions(draw):
+    ivs = []
+    for _ in range(draw(st.integers(0, 3))):
+        lo, hi = sorted((draw(_eighths), draw(_eighths)))
+        ivs.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    coeffs = draw(st.lists(st.integers(-3, 3).map(Fraction), min_size=1, max_size=3))
+    return PiecewisePoly(IntervalUnion.of(*ivs), tuple(coeffs))
+
+
+def _antiderivative(coeffs, x):
+    return sum((c * x ** (k + 1) / (k + 1) for k, c in enumerate(coeffs)), Fraction(0))
+
+
+@given(_polys_on_unions(), _polys_on_unions())
+@settings(max_examples=300, deadline=None)
+def test_piecewise_poly_algebra_matches_pointwise_values(a, b):
+    product = a.multiply(b)
+    points = {Fraction(-2), Fraction(3)}
+    for p in (a, b):
+        for c in p.union.components:
+            points |= {c.lo, c.hi, (c.lo + c.hi) / 2}
+    for x in sorted(points):
+        assert product.evaluate(x) == a.evaluate(x) * b.evaluate(x)
+        for p in (a, b, product):
+            if p.union.contains(x):
+                assert p.abs_bound() >= abs(p.evaluate(x))
+            else:
+                assert p.evaluate(x) == 0
+    for p in (a, b, product):
+        assert p.integral_over() == sum(
+            (_antiderivative(p.coeffs, c.hi) - _antiderivative(p.coeffs, c.lo)
+             for c in p.union.components),
+            Fraction(0),
+        )
+        if p.union.is_empty:
+            assert p.abs_bound() == 0
+
+
 def test_constant_function_integrates_to_itself():
     assert exact_slice(const(1), 5) == 1
     assert exact_slice(const("2/7"), 0) == Fraction(2, 7)
@@ -121,6 +164,15 @@ def test_overlapping_piecewise_pieces_read_first_match():
     flat = Piecewise(0, (((0, 1), (Fraction(1, 2), 0)),))
     assert flat.pieces[0][1] == (Fraction(1, 2),)
     assert exact_slice(flat, 0, truncation=Fraction(1, 4)) == 0
+
+
+def test_a_polynomial_factor_clipped_away_is_a_constant_piece():
+    # x0 on [2,3] is a polynomial factor whose union misses [0,1]: on a
+    # slice it is the zero factor, a constant, so its truncation is exact
+    outside = mul(coord(0), indicator(BoxUnion.of(Box.make({0: (2, 3)}))))
+    ev = SliceEvaluator(SlicedFunction(1, add(Clamp(outside, Fraction(1, 2)), const(1))))
+    assert ev.integral_at(Fraction(1, 2)) == 0
+    assert ev.abs_integral_at(Fraction(2)) == 1
 
 
 def test_a_shifted_coordinate_is_one_polynomial_on_a_slice():
