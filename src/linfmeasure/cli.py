@@ -113,11 +113,15 @@ def _list(task: dict, key: str, where: str, default: tuple = ()) -> Sequence:
 
 
 def _convert(convert, value: Any, where: str) -> Any:
-    """int(value) or float(value), with a located error instead of a traceback."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ProblemError(f"{where}: expected {convert.__name__}, got {value!r}")
+    """int(value) or float(value), with a located error instead of a
+    traceback: value is a string or a JSON number of that kind (an integer
+    is also a float), never a boolean, and an int is never a fraction."""
+    if isinstance(value, str) or type(value) in (int, convert):
+        try:
+            return convert(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ProblemError(f"{where}: expected {convert.__name__}, got {value!r}")
 
 
 def _capped(count: int, where: str) -> int:
@@ -152,13 +156,13 @@ def _union(value: Any, where: str) -> IntervalUnion:
     return IntervalUnion.of(*comps)
 
 
-def _coordinate(key: str, seen: dict, where: str) -> int:
-    """The coordinate a key names, which must not already be in ``seen``:
-    keys such as "0" and "00" name the same coordinate."""
-    try:
-        idx = int(key)
-    except ValueError:
-        raise ProblemError(f"{where}: coordinate {key!r} is not an integer")
+def _coordinate(key: Any, where: str, seen=()) -> int:
+    """The nonnegative coordinate an integer or a key names, which must not
+    already be in ``seen``: keys such as "0" and "00" name the same
+    coordinate."""
+    idx = _convert(int, key, where)
+    if idx < 0:
+        raise ProblemError(f"{where}: coordinate {idx} is negative")
     if idx in seen:
         raise ProblemError(f"{where}: key {key!r} names coordinate {idx} again")
     return idx
@@ -169,9 +173,7 @@ def _box(value: Any, where: str) -> Box:
         raise ProblemError(f"{where}: expected a box object")
     explicit = {}
     for key, u in _object(value.get("explicit") or {}, f"{where}.explicit").items():
-        idx = _coordinate(key, explicit, f"{where}.explicit")
-        if idx < 0:
-            raise ProblemError(f"{where}.explicit: coordinate {idx} is negative")
+        idx = _coordinate(key, f"{where}.explicit", explicit)
         explicit[idx] = _union(u, f"{where}.explicit[{key}]")
     tail = _union(value.get("tail", [["0", "1"]]), f"{where}.tail")
     return Box.make(explicit, tail=tail)
@@ -182,7 +184,7 @@ def _sparse(value: Any, where: str) -> SparseVector:
         raise ProblemError(f"{where}: expected an object of coordinate -> rational")
     entries = {}
     for key, v in value.items():
-        entries[_coordinate(key, entries, where)] = _rat(v, f"{where}[{key}]")
+        entries[_coordinate(key, where, entries)] = _rat(v, f"{where}[{key}]")
     return SparseVector.of(entries)
 
 
@@ -211,11 +213,12 @@ class Problem:
         self.splits: Dict[str, CoordinateSplit] = {}
         for name, value in self._section("splits"):
             where = f"splits.{name}"
-            indices = _object(value, where).get("indices", [])
-            if not isinstance(indices, list) or any(type(i) is not int or i < 0 for i in indices):
-                raise ProblemError(f"{where}.indices: expected a list of nonnegative integers")
+            indices = tuple(
+                _coordinate(i, f"{where}.indices[{k}]")
+                for k, i in enumerate(_list(_object(value, where), "indices", where))
+            )
             try:
-                self.splits[name] = CoordinateSplit(value.get("kind", "finite"), tuple(indices))
+                self.splits[name] = CoordinateSplit(value.get("kind", "finite"), indices)
             except ValueError as exc:
                 raise ProblemError(f"{where}: {exc}")
         self.schedules: Dict[str, LimitSchedule] = {}
@@ -245,10 +248,7 @@ class Problem:
         if op == "const":
             return Const(_rat(value.get("value", 0), f"{where}.value"))
         if op == "coord":
-            idx = value.get("index")
-            if not isinstance(idx, int) or idx < 0:
-                raise ProblemError(f"{where}.index: expected a nonnegative integer")
-            return Coord(idx)
+            return Coord(_coordinate(value.get("index"), f"{where}.index"))
         if op in ("sum", "prod"):
             key = "terms" if op == "sum" else "factors"
             args = tuple(
@@ -262,9 +262,7 @@ class Problem:
                 self._expr(value.get("arg"), f"{where}.arg"),
             )
         if op == "piecewise":
-            idx = value.get("index")
-            if not isinstance(idx, int) or idx < 0:
-                raise ProblemError(f"{where}.index: expected a nonnegative integer")
+            idx = _coordinate(value.get("index"), f"{where}.index")
             pieces = []
             for k, p in enumerate(_list(value, "pieces", where)):
                 at = f"{where}.pieces[{k}]"

@@ -300,13 +300,6 @@ class IntervalUnion:
             any(c.issubset(o) for o in other.components) for c in self.components
         )
 
-    def endpoints(self) -> list:
-        pts = []
-        for c in self.components:
-            pts.append(c.lo)
-            pts.append(c.hi)
-        return pts
-
     def __repr__(self):
         if self.is_empty:
             return "IU()"

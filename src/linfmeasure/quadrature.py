@@ -10,10 +10,13 @@ each leaf applies it once, so a ``Clamp`` or ``Abs`` below a shift sees the
 shifted argument.  A sliced body reads its restriction to the unit cube
 (``restrict_to_cube``), integrated in rational arithmetic; the slices of a
 whole schedule are read off one whole-space form, advanced from n to n+1
-(``_form_evaluators``).  ``Clamp`` and ``Abs`` build constant pieces of the
-restriction, so they are exact on slices only.  Magnitude truncation uses
-the hard-drop semantics value * 1{|value| <= M}: on disjoint constant
-pieces, whole pieces above the bound are removed.
+(``_form_evaluators``).  A constant piece is a restricted term whose
+factors are constant and nonempty; on both paths one per-coordinate test
+(``_separate``) decides whether pieces are pairwise apart.  ``Clamp`` and
+``Abs`` build constant pieces of the restriction, so they are exact on
+slices only.  Magnitude truncation uses the hard-drop semantics
+value * 1{|value| <= M}: on disjoint constant pieces, whole pieces above
+the bound are removed.
 """
 
 from __future__ import annotations
@@ -300,99 +303,61 @@ def _unit_part(iu: IntervalUnion) -> IntervalUnion:
     return iu.intersect(UNIT_UNION)
 
 
-@dataclass(frozen=True)
-class ConstantPiece:
-    """A constant value on a product of interval unions (within [0,1]^dims)."""
-
-    value: Fraction
-    constraints: tuple  # ((coord, IntervalUnion), ...); missing coords mean [0,1]
-
-    def volume(self, lengths: dict) -> Fraction:
-        """Constraints are pre-clipped to [0,1]; unconstrained coords give 1.
-
-        ``lengths`` (union -> length) is shared by the pieces of one slice,
-        so that each distinct union is measured once.
-        """
-        num = den = 1
-        for _, iu in self.constraints:
-            length = lengths.get(iu)
-            if length is None:
-                length = lengths[iu] = iu.total_length
-            if not length:
-                return Fraction(0)
-            num *= length.numerator
-            den *= length.denominator
-        return Fraction(num, den)
+def to_constant_pieces(terms: List[SeparableTerm]) -> Optional[List[SeparableTerm]]:
+    """The constant pieces of terms that ``restrict_to_cube`` returned, or
+    None if non-constant: a piece is a term with no empty factor, constant
+    on the product of its factors' unions."""
+    if not all(fac.is_constant() for t in terms for _, fac in t.factors):
+        return None
+    return [t for t in terms if not any(fac.union.is_empty for _, fac in t.factors)]
 
 
-def to_constant_pieces(terms: List[SeparableTerm]) -> Optional[List[ConstantPiece]]:
-    """Expand terms that ``restrict_to_cube`` returned into constant
-    pieces, or None if non-constant: one piece per term with no empty
-    factor, constant on the product of its factors' unions."""
-    pieces: List[ConstantPiece] = []
-    for t in terms:
-        if not all(fac.is_constant() for _, fac in t.factors):
-            return None
-        if any(fac.union.is_empty for _, fac in t.factors):
-            continue
-        num, den = t.coef.numerator, t.coef.denominator
-        for _, fac in t.factors:
-            num *= fac.coeffs[0].numerator
-            den *= fac.coeffs[0].denominator
-        pieces.append(
-            ConstantPiece(Fraction(num, den), tuple((i, fac.union) for i, fac in t.factors))
-        )
-    return pieces
+def _separate(groups: Dict[IntervalUnion, list], apart: list) -> None:
+    """Mark every two pieces whose unions on one coordinate share no point
+    as apart: ``groups`` holds the indices of the pieces per union, and
+    ``apart`` (index -> bitmask of the pieces it is apart from) is ORed
+    into.  A group is not compared with itself, as no union is empty."""
+    members = [(u, xs, sum(1 << x for x in xs)) for u, xs in groups.items()]
+    for (u, xs, mu), (v, ys, mv) in itertools.combinations(members, 2):
+        if not _unions_meet(u, v):
+            for x in xs:
+                apart[x] |= mv
+            for y in ys:
+                apart[y] |= mu
 
 
-def pieces_disjoint(pieces: List[ConstantPiece]) -> bool:
-    """Pairwise disjointness of the pieces' product sets.
-
-    Pieces are grouped per coordinate by their constraint union.  Whether
-    two groups are disjoint is decided once per pair of groups on a
-    coordinate, with endpoints rank-compressed to even integers (open ends
-    nudged by 1); each piece then ORs together the bitmasks of the pieces
-    it is separated from.  Only coordinates constrained on both sides can
-    separate a pair: a missing constraint means the full window [0,1].
-    """
-    group_of: Dict[tuple, int] = {}  # (coord, union) -> group id
-    members: List[int] = []  # group id -> bitmask of its pieces
-    piece_groups = []
+def pieces_disjoint(pieces: List[SeparableTerm]) -> bool:
+    """Pairwise disjointness of the pieces' product sets, decided per
+    coordinate by ``_separate``.  Only coordinates with a factor on both
+    sides can separate a pair: a missing factor means the full window
+    [0,1]."""
+    by_coord: Dict[int, Dict[IntervalUnion, list]] = {}
     for x, p in enumerate(pieces):
-        bit = 1 << x
-        ids = []
-        for key in p.constraints:
-            g = group_of.get(key)
-            if g is None:
-                g = group_of[key] = len(members)
-                members.append(0)
-            members[g] |= bit
-            ids.append(g)
-        piece_groups.append(ids)
-    values = sorted({v for _, iu in group_of for v in iu.endpoints()})
-    rank = {v: 2 * k for k, v in enumerate(values)}
-    by_coord: Dict[int, list] = {}
-    for (i, iu), g in group_of.items():
-        encoded = tuple(
-            (rank[c.lo] + (not c.lo_closed), rank[c.hi] - (not c.hi_closed))
-            for c in iu.components
-        )
-        by_coord.setdefault(i, []).append((g, encoded))
-    apart = [0] * len(members)  # group id -> pieces separated from it
+        for i, fac in p.factors:
+            by_coord.setdefault(i, {}).setdefault(fac.union, []).append(x)
+    apart = [0] * len(pieces)
     for groups in by_coord.values():
-        for k, (g, ea) in enumerate(groups):
-            for h, eb in groups[k:]:
-                if not any(la <= hb and lb <= ha for la, ha in ea for lb, hb in eb):
-                    apart[g] |= members[h]
-                    apart[h] |= members[g]
+        _separate(groups, apart)
     everyone = (1 << len(pieces)) - 1
-    for x, ids in enumerate(piece_groups):
-        separated = 1 << x
-        for g in ids:
-            separated |= apart[g]
-        if separated != everyone:
-            return False
-    return True
+    return all(apart[x] | 1 << x == everyone for x in range(len(pieces)))
+
+
+def _value_volume(piece: SeparableTerm, lengths: dict) -> Tuple[Fraction, Fraction]:
+    """A constant piece's value and the volume of its product set.
+
+    ``lengths`` (union -> length) is shared by the pieces of one slice, so
+    that each distinct union is measured once.
+    """
+    num, den, vol_num, vol_den = piece.coef.numerator, piece.coef.denominator, 1, 1
+    for _, fac in piece.factors:
+        length = lengths.get(fac.union)
+        if length is None:
+            length = lengths[fac.union] = fac.union.total_length
+        num *= fac.coeffs[0].numerator
+        den *= fac.coeffs[0].denominator
+        vol_num *= length.numerator
+        vol_den *= length.denominator
+    return Fraction(num, den), Fraction(vol_num, vol_den)
 
 
 def _piece_terms(terms: List[SeparableTerm], value_of, what: str) -> List[SeparableTerm]:
@@ -402,12 +367,12 @@ def _piece_terms(terms: List[SeparableTerm], value_of, what: str) -> List[Separa
     pieces = to_constant_pieces(terms)
     if pieces is None or not pieces_disjoint(pieces):
         raise FormNotExact(f"{what} needs disjoint constant pieces")
-    out = []
+    out, lengths = [], {}
     for p in pieces:
-        value = value_of(p.value)
+        value = value_of(_value_volume(p, lengths)[0])
         if value != 0:
             out.append(
-                _term(value, {i: PiecewisePoly.constant_on(iu) for i, iu in p.constraints})
+                _term(value, {i: PiecewisePoly.constant_on(fac.union) for i, fac in p.factors})
             )
     return out
 
@@ -486,7 +451,7 @@ class SliceEvaluator:
             pieces = to_constant_pieces(self.terms)
             if pieces is not None and pieces_disjoint(pieces):
                 lengths: dict = {}
-                self._prefix = _sorted_sums([(p.value, p.volume(lengths)) for p in pieces])
+                self._prefix = _sorted_sums([_value_volume(p, lengths) for p in pieces])
         return self._prefix
 
     def integral_at(self, bound) -> Fraction:
@@ -606,13 +571,7 @@ def _form_evaluators(f: Expr, a: SparseVector, n_values):
                     run[x][j] *= v
                 empty[x] = co[0].is_empty
                 groups.setdefault(co[0], []).append(x)
-        members = [(u, xs, sum(1 << x for x in xs)) for u, xs in groups.items()]
-        for (u, xs, mu), (v, ys, mv) in itertools.combinations(members, 2):
-            if not _unions_meet(u, v):
-                for x in xs:
-                    apart[x] |= mv
-                for y in ys:
-                    apart[y] |= mu
+        _separate(groups, apart)
         if n not in wanted:
             continue
         total_bound, total, pieces, live = Fraction(0), Fraction(0), [], 0

@@ -262,6 +262,33 @@ def test_reports_are_deterministic(capsys):
          "--cells: coordinate 0 is negative or repeated"),
         ("schedules", {}, ["integrate", "xy", "--cells=origin,-1:1"],
          "--cells: coordinate -1 is negative or repeated"),
+        ("schedules", {"quick": {"n_max": 2.9}}, ["integrate", "xy"], "schedules.quick.n_max"),
+        ("schedules", {"quick": {"n_max": True}}, ["integrate", "xy"], "schedules.quick.n_max"),
+        ("schedules", {"quick": {"n_values": [0, 1.5, 3]}},
+         ["integrate", "xy"], "schedules.quick.n_values[1]"),
+        ("schedules", {"quick": {"M_max_power": 3.7}},
+         ["integrate", "xy"], "schedules.quick.M_max_power"),
+        ("schedules", {"quick": {"window": True}}, ["integrate", "xy"], "schedules.quick.window"),
+        ("schedules", {"quick": {"window": 1.5}}, ["integrate", "xy"], "schedules.quick.window"),
+        ("schedules", {"quick": {"epsilon": True}}, ["integrate", "xy"], "schedules.quick.epsilon"),
+        ("functions", {"bad": {"op": "coord", "index": True}},
+         ["measure", "unit-cell"], "functions.bad.index"),
+        ("functions", {"bad": {"op": "piecewise", "index": False, "pieces": []}},
+         ["measure", "unit-cell"], "functions.bad.index"),
+        ("functions", {"bad": {"op": "translate", "arg": {"op": "const", "value": 1},
+                               "shift": {"-1": "1/2"}}},
+         ["measure", "unit-cell"], "functions.bad.shift: coordinate -1 is negative"),
+        ("anchors", {"origin": {"entries": {"-2": "1"}}},
+         ["slice-scan", "spike", "--n", "0..2", "--anchor", "origin"],
+         "anchors.origin.entries: coordinate -2 is negative"),
+        ("verify", [{"type": "invariance", "function": "one-on-cell", "shift": {"-1": "1/2"}}],
+         ["verify"], "verify[0].shift: coordinate -1 is negative"),
+        ("verify", [{"type": "compatibility", "first": {"-1": "1/2"}, "second": {},
+                     "samples": ["quarter-sample"]}],
+         ["verify"], "verify[0].first: coordinate -1 is negative"),
+        ("verify", [{"type": "compatibility", "first": {}, "second": {"-1": "1/2"},
+                     "samples": ["quarter-sample"]}],
+         ["verify"], "verify[0].second: coordinate -1 is negative"),
     ],
 )
 def test_problem_errors_name_their_location(capsys, tmp_path, section, value, argv, location):

@@ -34,9 +34,9 @@ from linfmeasure.exprs import (
 from linfmeasure.intervals import INF, Interval, IntervalUnion, UNIT_UNION
 from linfmeasure.library import spike_series, spike_support_indicator
 from linfmeasure.quadrature import (
-    ConstantPiece,
     PiecewisePoly,
     QuadratureSpec,
+    SeparableTerm,
     SliceEvaluator,
     integrate_indicator,
     integrate_slice,
@@ -327,10 +327,10 @@ def _raw_pieces(draw):
 
 def _library_pieces(raw):
     return [
-        ConstantPiece(
+        SeparableTerm(
             Fraction(1),
             tuple(
-                (c, IntervalUnion.of(*(Interval(*iv) for iv in ivs)))
+                (c, PiecewisePoly.constant_on(IntervalUnion.of(*(Interval(*iv) for iv in ivs))))
                 for c, ivs in sorted(p.items())
             ),
         )
@@ -369,10 +369,10 @@ def test_spike_slice_pieces_disjoint_per_oracle(n):
     pieces = to_constant_pieces(terms)
     raw = [
         {
-            i: [(c.lo, c.hi, c.lo_closed, c.hi_closed) for c in iu.components]
-            for i, iu in p.constraints
+            i: [(c.lo, c.hi, c.lo_closed, c.hi_closed) for c in fac.union.components]
+            for i, fac in t.factors
         }
-        for p in pieces
+        for t in pieces
     ]
     assert pieces_disjoint(pieces) is product_sets_pairwise_disjoint(raw) is True
 
