@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
 from . import __version__
-from .boxes import Box, BoxUnion, LatticeVector, SparseVector
+from .boxes import Box, BoxUnion, LatticeVector, SparseVector, unit_cell
 from .cells import Cell, compatibility_check, patch_measure
 from .errors import LinfMeasureError
 from .exprs import (
@@ -565,9 +565,12 @@ def _run_verify_task(problem: Problem, task: Any, where: str) -> dict:
     if kind == "compatibility":
         first = _sparse(task.get("first", {}), f"{where}.first")
         second = _sparse(task.get("second", {}), f"{where}.second")
+        overlap = unit_cell().translate(first).intersect(unit_cell().translate(second))
         samples = []
         for k, s in enumerate(_list(task, "samples", where)):
             u = problem._region(s, f"{where}.samples[{k}]")
+            if not all(b.issubset(overlap) for b in u.boxes):
+                raise ProblemError(f"{where}.samples[{k}]: not inside the overlap of the two cells")
             samples.extend(u.boxes)
         rep = compatibility_check(first, second, samples)
         return {

@@ -6,8 +6,8 @@ W-integral is evaluated symbolically: the separable terms of
 ``quadrature.normalize`` (coefficient, per-coordinate univariate factors,
 and a tail constraint on all remaining coordinates) hold on the whole
 space, so each term's iterated value is a product of factor integrals and
-tail factors.  ``normalize_global`` is that form for the trees a split can
-factor.  The iterated value is compared against direct integration.
+tail factors, read off ``quadrature._normalize`` by ``normalize_global``.
+The iterated value is compared against direct integration.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import List, Optional, Union
 
 from .boxes import Box, ZERO_VECTOR, tail_factor
-from .errors import NotDisjointifiable, SplitUnsupported
-from .exprs import Abs, Clamp, Expr, Prod, Scale, Series, Sum, Translate
+from .errors import FormNotExact, NotDisjointifiable, SplitUnsupported
+from .exprs import Expr, Series
 from .intervals import INF
 from .limits import (
     DEFAULT_SCHEDULE,
@@ -29,7 +29,7 @@ from .limits import (
     integrability_check,
     integrate_global,
 )
-from .quadrature import PiecewisePoly, SeparableTerm, _normalize, normalize
+from .quadrature import PiecewisePoly, SeparableTerm, _normalize
 
 
 @dataclass(frozen=True)
@@ -119,45 +119,19 @@ def _side(term: SeparableTerm, split: CoordinateSplit, v_side: bool) -> Number:
     return val * tail_factor(term.tail.total_length)
 
 
-def _unsupported(expr: Expr, kinds=(Series, Clamp, Abs)) -> Optional[Expr]:
-    """The first node of the given kinds in pre-order, or None; a zero
-    scale hides what is below it, and a Series's terms are not read."""
-    if isinstance(expr, kinds):
-        return expr
-    if isinstance(expr, Sum):
-        children = expr.terms
-    elif isinstance(expr, Prod):
-        children = expr.factors
-    elif isinstance(expr, Translate) or (isinstance(expr, Scale) and expr.coef != 0):
-        children = (expr.arg,)
-    else:
-        return None
-    for child in children:
-        found = _unsupported(child, kinds)
-        if found is not None:
-            return found
-    return None
+def _unexpanded(s: Series, shift) -> None:
+    raise FormNotExact("series must be expanded before split integration")
 
 
-def _refuse(expr: Expr, kinds) -> None:
-    """Raise SplitUnsupported for the first node of the given kinds."""
-    bad = _unsupported(expr, kinds)
-    if isinstance(bad, Series):
-        raise SplitUnsupported("series must be expanded before split integration")
-    if bad is not None:
-        raise SplitUnsupported(
-            f"{type(bad).__name__} does not factor through a coordinate split"
-        )
-
-
-def normalize_global(expr: Expr) -> List[SeparableTerm]:
-    """The separable terms of a whole-space expression: ``normalize``, for
-    the trees that factor through a split.
-
-    Raises SplitUnsupported for clamp, absolute value and unexpanded series,
-    whose terms hold only on a slice or need expanding first."""
-    _refuse(expr, (Series, Clamp, Abs))
-    return normalize(expr)
+def normalize_global(expr: Expr, read=None) -> List[SeparableTerm]:
+    """The whole-space terms of an expression, each ``Series`` expanded by
+    ``read`` as in ``quadrature._normalize``.  A clamp or absolute value, or
+    a series with no reader, raises SplitUnsupported naming the node; boxes
+    that meet with different tails raise NotDisjointifiable."""
+    try:
+        return _normalize(expr, ZERO_VECTOR, read or _unexpanded)
+    except FormNotExact as exc:
+        raise SplitUnsupported(str(exc)) from None
 
 
 def _term_iterated_value(term: SeparableTerm, split: CoordinateSplit) -> Fraction:
@@ -203,21 +177,17 @@ def iterated_integrate(
         "inner-slice integrability holds term-by-term for structured f; the "
         "almost-everywhere condition is not verified pointwise",
     )
-    if _unsupported(f) is None:
-        value = sum((_term_iterated_value(t, split) for t in normalize_global(f)), Fraction(0))
-        return IntegralResult(value=value, status="converged", warnings=warnings)
-
     # each Series is summed to growing depth: every series term up to the
     # last depth is read and normalized once, and a term enters the running
     # sum at the largest series index it was read from
-    def read(s: Series, shift):
-        for k in range(s.start, sched.n_values[-1] + 1):
-            term = s.term(k)
-            _refuse(term, (Clamp, Abs))
-            yield k, term
+    expanded = []  # the series read; none: the first depth holds every term
 
-    _refuse(f, (Clamp, Abs))
-    terms = sorted(_normalize(f, ZERO_VECTOR, read), key=lambda t: max(t._series, default=0))
+    def read(s: Series, shift):
+        expanded.append(s)
+        for k in range(s.start, sched.n_values[-1] + 1):
+            yield k, s.term(k)
+
+    terms = sorted(normalize_global(f, read), key=lambda t: max(t._series, default=0))
     partials: List[Fraction] = []
     total, i = Fraction(0), 0
     for depth in sched.n_values:
@@ -225,7 +195,7 @@ def iterated_integrate(
             total += _term_iterated_value(terms[i], split)
             i += 1
         partials.append(total)
-        if _stabilized(partials, sched.window, sched.epsilon):
+        if not expanded or _stabilized(partials, sched.window, sched.epsilon):
             return IntegralResult(
                 value=partials[-1], status="converged", warnings=warnings
             )

@@ -150,8 +150,8 @@ class _InnerLimit:
 
 class _SliceCache:
     """The evaluators of a function's slices at increasing n, shared by
-    every truncation bound: read off its whole-space form when that serves
-    the tree, else sliced and normalized one n at a time.
+    every truncation bound: read off its whole-space form when ``_normalize``
+    gives the tree one, else sliced and normalized one n at a time.
 
     Past the function's slice horizon every slice has the same body and the
     same integrals (each free coordinate is a unit-interval factor of 1), so

@@ -5,7 +5,8 @@
 factor is one univariate polynomial on an interval union (zero outside it)
 or a free polynomial on the whole axis; no tail leaves the other coordinates
 unconstrained.  The form holds on the whole space, so Fubini splits read it
-directly.  A ``Translate`` adds its shift to one carried down the tree, and
+directly; ``_normalize`` with a series reader alone decides which trees
+have it.  A ``Translate`` adds its shift to one carried down the tree, and
 each leaf applies it once, so a ``Clamp`` or ``Abs`` below a shift sees the
 shifted argument.  A sliced body reads its restriction to the unit cube
 (``restrict_to_cube``), integrated in rational arithmetic; the slices of a
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .boxes import SparseVector, ZERO_VECTOR, _unions_meet, coerce_union, union_disjointify
-from .errors import FormNotExact
+from .errors import FormNotExact, NotDisjointifiable
 from .exprs import (
     Abs,
     Clamp,
@@ -152,6 +153,9 @@ class SeparableTerm:
     _series: tuple = field(default=(), compare=False, repr=False)  # Series tags
 
 
+SPLIT = -1  # tag of a piece of a box its region's refinement split; below any Series index
+
+
 def _term(coef, factors: Dict[int, Factor], tail=None, series=()) -> SeparableTerm:
     return SeparableTerm(frac(coef), tuple(sorted(factors.items())), tail, series)
 
@@ -167,9 +171,11 @@ def normalize(expr: Expr) -> List[SeparableTerm]:
 
 
 def _normalize(expr: Expr, shift: SparseVector, read=None) -> List[SeparableTerm]:
-    """The terms of x -> expr(x + shift); each leaf applies the shift.  A
-    ``Series`` is expanded if ``read(series, shift)`` is given: it yields a
-    tag and a tree per term, and that tree's terms carry the tag."""
+    """The terms of x -> expr(x + shift); each leaf applies the shift.  With
+    a reader ``read(series, shift)`` yielding a tag and a tree per series
+    term (whose terms carry the tag), the terms hold on the whole space:
+    ``Clamp`` and ``Abs`` raise FormNotExact, the reader may refuse a series,
+    and boxes that meet with different tails raise NotDisjointifiable."""
     if isinstance(expr, Const):
         return [] if expr.value == 0 else [_term(expr.value, {})]
     if isinstance(expr, Coord):
@@ -202,6 +208,7 @@ def _normalize(expr: Expr, shift: SparseVector, read=None) -> List[SeparableTerm
         region = expr.region if shift.is_zero else expr.region.translate(-shift)
         out = []
         made: Dict[IntervalUnion, PiecewisePoly] = {}  # one factor per distinct union
+        whole = {id(b) for b in region.boxes}  # a box kept whole is itself
         for b in union_disjointify(region).boxes:
             factors = []
             for i, c in b.explicit:  # sorted by coordinate
@@ -209,10 +216,13 @@ def _normalize(expr: Expr, shift: SparseVector, read=None) -> List[SeparableTerm
                 if fac is None:
                     fac = made[c] = PiecewisePoly.constant_on(c)
                 factors.append((i, fac))
-            out.append(SeparableTerm(Fraction(1), tuple(factors), b.tail))
+            split = () if id(b) in whole else (SPLIT,)
+            out.append(SeparableTerm(Fraction(1), tuple(factors), b.tail, split))
         return out
     if isinstance(expr, Translate):
         return _normalize(expr.arg, shift + expr.shift, read)
+    if isinstance(expr, (Clamp, Abs)) and read is not None:
+        raise FormNotExact(f"{type(expr).__name__} has no whole-space form")
     if isinstance(expr, Clamp):
         terms = restrict_to_cube(_normalize(expr.arg, shift))
         if expr.bound == INF or _terms_bound(terms) <= expr.bound:
@@ -482,20 +492,6 @@ def _sorted_sums(pieces) -> Tuple[list, list, list]:
     return [abs(value) for value, _ in ordered], list(sums), list(abs_sums)
 
 
-def _fits(e: Expr) -> bool:
-    """Whether slices of e read off its whole-space form: no Clamp or Abs,
-    Indicator of several boxes or Series without a sparse cutoff."""
-    if isinstance(e, (Sum, Prod)):
-        return all(_fits(g) for g in (e.terms if isinstance(e, Sum) else e.factors))
-    if isinstance(e, (Scale, Translate)):
-        return _fits(e.arg)
-    if isinstance(e, Indicator):
-        return len(e.region.boxes) <= 1
-    if isinstance(e, Series):
-        return e.sparse_cutoff is not None
-    return isinstance(e, (Const, Coord, Piecewise))
-
-
 def _coordinate(f: Factor) -> Optional[tuple]:
     """A term's factor f on a slice coordinate, that is on [0,1]: its union,
     whether it is constant, and the multipliers other than 1 of the term's
@@ -528,34 +524,35 @@ def _frozen(t: SeparableTerm, coords, n: int, a: SparseVector) -> Fraction:
 def _form_evaluators(f: Expr, a: SparseVector, n_values):
     """{n: evaluator} of the slices at n_values with the coordinates beyond
     n at a and no cell origin, read off one whole-space form of f; None
-    when that cannot serve f (``_fits``).
+    when ``_normalize`` refuses f or splits a box of a region.
 
     A slice keeps each term's factors and tail on coordinates <= n
     (``_coordinate``) times a number (``_frozen``): one constant piece or
     not constant.  From n to n+1 each term's running products take one
-    more coordinate, which may separate terms; pairs apart stay apart.
+    more coordinate, which may separate terms; pairs apart stay apart.  A
+    region whose refinement keeps or drops each box whole restricts to each
+    slice's own refinement; one that splits a box (``SPLIT``) may not.
     """
-    if not n_values or not _fits(f):
-        return None
-
     def read(s: Series, shift: SparseVector):
+        if s.sparse_cutoff is None:
+            raise FormNotExact("series without a sparse cutoff is sliced at every n")
         m = (a + shift).max_index  # the series terms slice_function expands
-        for k in range(s.start, max(s.sparse_cutoff(max(n, m)) for n in n_values) + 1):
-            term = s.term(k)
-            if not _fits(term):
-                raise FormNotExact("series term outside the whole-space form")
-            yield ((s.sparse_cutoff, m), k), term
+        deepest = max((s.sparse_cutoff(max(n, m)) for n in n_values), default=s.start - 1)
+        for k in range(s.start, deepest + 1):
+            yield ((s.sparse_cutoff, m), k), s.term(k)
 
     try:
         terms = _normalize(f, ZERO_VECTOR, read)
-    except FormNotExact:
+    except (FormNotExact, NotDisjointifiable):
         return None
+    if any(SPLIT in t._series for t in terms):
+        return None  # a slice that drops the box which cut a piece keeps it whole
     facs = [dict(t.factors) for t in terms]
     run = [[Fraction(1)] * 4 for _ in terms]  # value, volume, bound, integral
     constant, empty, apart = [True] * len(terms), [False] * len(terms), [0] * len(terms)
     memo: dict = {}  # id of a factor or tail -> _coordinate
     out, last, wanted = {}, None, set(n_values)
-    for n in range(max(n_values) + 1):
+    for n in range(max(n_values, default=-1) + 1):
         groups: Dict[IntervalUnion, list] = {}  # terms by their union on n
         for x, t in enumerate(terms):
             fac = facs[x].get(n)

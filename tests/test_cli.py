@@ -289,6 +289,10 @@ def test_reports_are_deterministic(capsys):
         ("verify", [{"type": "compatibility", "first": {}, "second": {"-1": "1/2"},
                      "samples": ["quarter-sample"]}],
          ["verify"], "verify[0].second: coordinate -1 is negative"),
+        ("verify", [{"type": "expect-measure", "set": "unit-cell", "value": "1"},
+                    {"type": "compatibility", "first": {"0": "1/2"}, "second": {},
+                     "samples": ["quarter-sample", {"explicit": {"0": [["0", "1/4"]]}}]}],
+         ["verify"], "verify[1].samples[1]: not inside the overlap"),
     ],
 )
 def test_problem_errors_name_their_location(capsys, tmp_path, section, value, argv, location):

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linfmeasure.boxes import Box, BoxUnion, unit_cell
+from linfmeasure.boxes import Box, BoxUnion, SparseVector, unit_cell
 from linfmeasure.errors import SplitUnsupported
-from linfmeasure.exprs import coord, indicator, mul, scale
+from linfmeasure.exprs import (
+    Abs, Clamp, Prod, Scale, Series, Translate, add, coord, indicator, mul, scale, translate,
+)
 from linfmeasure.fubini import (
     CoordinateSplit,
     box_split_measures,
@@ -122,6 +124,32 @@ def test_free_polynomial_split_unsupported():
         iterated_integrate(coord(0), EVEN, sched=QUICK, assume_integrable=True)
 
 
+HALF_CELL = indicator(Box.make({0: (0, Fraction(1, 2))}))
+
+
+def _abs_terms(k):
+    return Abs(indicator(Box.make({k: (0, Fraction(1, 2))})))
+
+
+@pytest.mark.parametrize(
+    "f, node",
+    [
+        (Translate(Abs(HALF_CELL), SparseVector.of({0: Fraction(1, 4)})), "Abs"),
+        (Prod((HALF_CELL, Clamp(coord(1), Fraction(1, 2)))), "Clamp"),
+        (Series(term=_abs_terms, start=0, sparse_cutoff=lambda k: k), "Abs"),
+    ],
+)
+def test_split_refuses_nodes_without_a_whole_space_form(f, node):
+    with pytest.raises(SplitUnsupported, match=node):
+        iterated_integrate(f, V0, sched=QUICK, assume_integrable=True)
+
+
+def test_zero_scale_hides_what_has_no_whole_space_form():
+    f = Scale(Fraction(0), Clamp(coord(0), Fraction(1, 2)))
+    r = iterated_integrate(f, V0, sched=QUICK, assume_integrable=True)
+    assert r.status == "converged" and r.value == 0
+
+
 def test_fubini_check_separable_passes():
     rep = fubini_check(XY_CELL, [V0, EVEN, ODD, EMPTY], sched=QUICK)
     assert rep.passed
@@ -167,14 +195,18 @@ def test_fubini_check_reports_overlapping_tails_as_inconclusive():
         Box.make({0: (0, Fraction(1, 2)), 1: (0, Fraction(1, 2))}, tail=(0, 1)),
         Box.make({0: (Fraction(1, 4), 1)}, tail=(-1, 2)),
     )
-    f = mul(indicator(BoxUnion.of(unit_cell())), indicator(overlap))
-    rep = fubini_check(f, [V0, EVEN], sched=QUICK)
-    assert not rep.passed
-    for row in rep.rows:
-        # slices see only unit tails, so the direct run still converges
-        assert row.direct.status == "converged" and row.direct.value == Fraction(7, 8)
-        assert row.iterated.status == "inconclusive" and not row.consistent
-        assert "no finite disjoint refinement" in row.iterated.warnings[0]
+    # such boxes on x0 alone, shifted, beside a term with a whole-space form
+    on_x0 = BoxUnion.of(Box.make({0: (0, Fraction(1, 2))}), Box.make({0: (Fraction(1, 4), 1)}, tail=(-1, 2)))
+    shifted = translate(add(coord(0), indicator(on_x0)), SparseVector.of({0: Fraction(1, 8)}))
+    for g, direct in ((indicator(overlap), Fraction(7, 8)), (shifted, Fraction(3, 2))):
+        f = mul(indicator(BoxUnion.of(unit_cell())), g)
+        rep = fubini_check(f, [V0, EVEN], sched=QUICK)
+        assert not rep.passed
+        for row in rep.rows:
+            # slices see only unit tails, so the direct run still converges
+            assert row.direct.status == "converged" and row.direct.value == direct
+            assert row.iterated.status == "inconclusive" and not row.consistent
+            assert "no finite disjoint refinement" in row.iterated.warnings[0]
 
 
 def test_scaled_sum_iterated_linearity():

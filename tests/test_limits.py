@@ -7,7 +7,7 @@ import pytest
 from linfmeasure.boxes import Box, BoxUnion, SparseVector, unit_cell
 from linfmeasure.cells import Cell
 from linfmeasure.errors import UnknownSupport
-from linfmeasure.exprs import Anchor, const, coord, indicator, mul
+from linfmeasure.exprs import Anchor, Clamp, const, coord, indicator, mul
 from linfmeasure.intervals import INF, Interval
 from linfmeasure.library import spike_series, spike_support_indicator
 from linfmeasure.limits import (
@@ -108,14 +108,16 @@ def test_structural_bound_reuses_the_cells_evaluators(monkeypatch):
 
     monkeypatch.setattr(quadrature.SliceEvaluator, "__init__", counting_init)
     monkeypatch.setattr(limits, "_form_evaluators", counting_form)
-    # one box: every slice is read off the whole-space form and none is cut;
-    # two boxes: the form does not serve the tree, so the run cuts the slice
-    # at its horizon (n = 0)
-    two_boxes = BoxUnion.of(unit_cell(), Box.make({0: (0, Fraction(1, 2))}))
-    for region, slices_built in ((BoxUnion.of(unit_cell()), []), (two_boxes, [1])):
+    # one box, or two of which the refinement keeps one whole and drops the
+    # one it covers: every slice is read off the whole-space form and none
+    # is cut; a Clamp has no whole-space form, so the run cuts the slice at
+    # its horizon (n = 0)
+    cell = indicator(BoxUnion.of(unit_cell()))
+    two_boxes = indicator(BoxUnion.of(unit_cell(), Box.make({0: (0, Fraction(1, 2))})))
+    for g, slices_built in ((cell, []), (two_boxes, []), (Clamp(cell, Fraction(2)), [1])):
         built.clear()
         reads.clear()
-        r = integrate_global(mul(coord(0), indicator(region)))
+        r = integrate_global(mul(coord(0), g))
         assert r.status == "converged"
         assert r.value == Fraction(1, 2)
         assert r.absolute_integral == 1

@@ -171,6 +171,14 @@ ONE_BOX = Indicator(BoxUnion.of(Box.make({0: (0, F(1, 2))}, tail=IntervalUnion.c
 OVERLAP = Sum((ONE_BOX, Scale(F(2), Indicator(BoxUnion.of(Box.make({0: (F(1, 4), 1)}))))))
 NO_ZERO = Indicator(BoxUnion.of(Box.make({0: (0, 1)}, tail=IntervalUnion.coerce((F(1, 3), 1)))))
 OFF_CUBE = Sum((Indicator(BoxUnion.of(Box.make({1: (2, 3)}))), Const(F(1))))
+HALF = IntervalUnion.coerce((0, F(1, 2)))
+# the refinement keeps the first box and drops the second, which it covers
+COVERED = Indicator(BoxUnion.of(Box.make({0: (0, 1)}, tail=HALF), Box.make({0: (0, F(1, 2))}, tail=HALF)))
+MEET = Indicator(BoxUnion.of(Box.make({0: (0, F(1, 2))}, tail=HALF), Box.make({0: (F(1, 4), 1)}, tail=HALF)))
+# the refinement splits the second box on x0 and x3, and a slice with x3 =
+# 2/3 drops the first box whole and keeps the second whole, one piece
+DROPPED = Prod((Coord(0), Indicator(BoxUnion.of(Box.make({0: (0, F(1, 2)), 3: (0, F(1, 2))}), Box.make({0: (0, 1)})))))
+MIXED = Indicator(BoxUnion.of(Box.make({0: (0, F(1, 2))}, tail=HALF), Box.make({0: (F(1, 4), 1)})))
 
 
 @given(trees, anchors)
@@ -180,10 +188,16 @@ OFF_CUBE = Sum((Indicator(BoxUnion.of(Box.make({1: (2, 3)}))), Const(F(1))))
 @example(NO_ZERO, Anchor(cell_origin=SHIFT))  # 0 is outside the tail
 @example(OFF_CUBE, Anchor())  # a term that misses the cube from n = 1 on
 @example(Clamp(Sum((Coord(0), ONE_BOX)), F(1)), Anchor(SHIFT, SparseVector.of({1: 1})))
+@example(COVERED, Anchor(SparseVector.of({3: F(1, 3)})))  # read off the form
+@example(MEET, Anchor())  # one restrictive tail, boxes that meet on x0
+@example(DROPPED, Anchor(SparseVector.of({3: F(2, 3)})))
+@example(MIXED, Anchor())  # NotDisjointifiable: sliced at every n
 @settings(max_examples=150, deadline=None)
 def test_integrate_cell_trace_matches_fresh_slices(f, anchor):
-    # single-box trees (a series of them too) are read off the whole-space
-    # form; Clamp, Abs and several boxes are sliced at every n
+    # trees that _normalize gives a whole-space form (series with a sparse
+    # cutoff, regions whose refinement keeps or drops each box whole) are
+    # read off it; Clamp, Abs, boxes that meet with different tails, and a
+    # region whose refinement splits a box are sliced at every n
     d, a = anchor.cell_origin, anchor.entries
     event("form" if _form_evaluators(Translate(f, d), a - d, SCHED.n_values) else "per-n slices")
     expected = _outcome(lambda: _reference_trace(f, anchor, SCHED))
