@@ -1,10 +1,10 @@
 """Unit cells of the base lattice, cell decomposition, and NZ-set queries.
 
 The global measure is assembled from translated copies of the unit-cell
-measure; on any box union whose members fit inside the base window this
-module decomposes the set into per-cell pieces, verifies compatibility of
-the per-cell measures on overlaps, and computes the lattice cells on which
-a set keeps more than a threshold amount of mass.
+measure; cells meet only in null sets, so it is read off the tail law.  One
+enumerator lists the cells a box meets for the per-cell pieces, the cells
+met and the sigma-cover; the module also verifies compatibility on overlaps
+and finds the cells on which a set keeps more than a threshold of mass.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .boxes import (
     Box,
@@ -28,7 +28,7 @@ from .boxes import (
     union_measure,
 )
 from .errors import NotFinitelyCellCoverable, SampleOutsideOverlap
-from .intervals import INF, Interval, IntervalUnion, UNIT_UNION, frac
+from .intervals import Interval, IntervalUnion, UNIT_UNION, frac
 
 
 @dataclass(frozen=True)
@@ -47,84 +47,82 @@ class Cell:
 ORIGIN_CELL = Cell()
 
 
-def _check_base_window(b: Box) -> None:
+def _off_window(b: Box) -> Optional[str]:
+    """Why box b cannot be cut into finitely many cells, or None when it can."""
+    if b.tail.issubset(UNIT_UNION):
+        return None
     if b.tail.total_length > 1:
-        raise NotFinitelyCellCoverable(
-            "tail constraint longer than 1 meets infinitely many positive-measure cells"
-        )
-    if not b.tail.issubset(UNIT_UNION):
-        # a tail outside [0,1] would need a lattice shift in every coordinate,
-        # which is not finitely supported
-        raise NotFinitelyCellCoverable(
-            "tail constraint does not fit inside the base window [0,1]"
-        )
+        return "tail constraint longer than 1"
+    # a tail outside [0,1] would need a lattice shift in every coordinate,
+    # which is not finitely supported
+    return "tail constraint not inside the base window [0,1]"
 
 
-def _coordinate_windows(constraint: IntervalUnion) -> List[Tuple[int, Interval]]:
-    """Split a constraint at integers; returns (window index, piece) pairs.
+def _coordinate_windows(constraint: IntervalUnion, positive: bool) -> list:
+    """Split a constraint at integers; returns (window index, parts) pairs.
 
-    Pieces overlap at most in integer points, which are null.
+    Parts overlap at most in integer points, which are null.  With
+    ``positive``, only windows holding a part of positive length are kept.
     """
-    out: List[Tuple[int, Interval]] = []
+    windows: dict = {}
     for comp in constraint.components:
         lo_win = math.floor(comp.lo)
         hi_win = max(lo_win, math.ceil(comp.hi) - 1)
         for m in range(lo_win, hi_win + 1):
-            window = Interval.closed(m, m + 1)
-            piece = comp.intersect(window)
+            piece = comp.intersect(Interval.closed(m, m + 1))
             if piece.is_empty:
                 continue
             if piece.lo == piece.hi == Fraction(m) and comp.lo < Fraction(m):
                 continue  # the point {m} already belongs to window m-1
-            out.append((m, piece))
-    return out
+            windows.setdefault(m, []).append(piece)
+    return [(m, p) for m, p in windows.items() if not positive or any(q.lo < q.hi for q in p)]
+
+
+def _cells(b: Box, positive: bool = False):
+    """Each base-lattice cell box b meets, as (lattice vector, combo): combo
+    holds one (window index, parts) pair per explicit coordinate of b."""
+    coords = b.coords
+    windows = [_coordinate_windows(c, positive) for _, c in b.explicit]
+    for combo in itertools.product(*windows):
+        # b.coords are sorted and zero windows are dropped: already canonical
+        z = object.__new__(LatticeVector)
+        entries = tuple((c, m) for c, (m, _) in zip(coords, combo) if m)
+        object.__setattr__(z, "entries", entries)
+        yield z, combo
 
 
 def cell_decompose(u) -> List[Tuple[Cell, BoxUnion]]:
     """Split a box union into per-cell pieces of the base lattice.
 
-    Requires every member's tail to fit inside [0,1].  Pieces within one cell
-    are returned as a BoxUnion; adjacent pieces may share null boundaries.
-    Output is ordered by cell, lexicographically on the lattice vector.
+    Requires every member's tail to fit inside [0,1].  Each member gives one
+    piece per cell it meets; the pieces within one cell are returned as a
+    BoxUnion, and adjacent pieces may share null boundaries.  Output is
+    ordered by cell, lexicographically on the lattice vector.
     """
-    u = coerce_union(u)
     by_cell: dict = {}
-    for b in u.boxes:
-        _check_base_window(b)
-        coords = b.coords
-        window_lists = [_coordinate_windows(b.constraint(c)) for c in coords]
-        for combo in itertools.product(*window_lists):
+    for b in coerce_union(u).boxes:
+        if reason := _off_window(b):
+            raise NotFinitelyCellCoverable(reason)
+        for z, combo in _cells(b):
             entries = tuple(
-                (c, IntervalUnion.of(piece)) for c, (_, piece) in zip(coords, combo)
+                (c, IntervalUnion(tuple(parts))) for c, (_, parts) in zip(b.coords, combo)
             )
-            piece_box = Box(entries, b.tail)
-            if piece_box.is_empty:
-                continue
-            base = LatticeVector(tuple((c, m) for c, (m, _) in zip(coords, combo)))
-            by_cell.setdefault(base, []).append(piece_box)
-    out = []
-    for base in sorted(by_cell, key=lambda z: z.sort_key()):
-        out.append((Cell(base=base), BoxUnion(tuple(by_cell[base]))))
-    return out
+            by_cell.setdefault(z, []).append(Box(entries, b.tail))
+    return [
+        (Cell(base=z), BoxUnion(tuple(by_cell[z])))
+        for z in sorted(by_cell, key=lambda z: z.sort_key())
+    ]
 
 
 def patch_measure(u) -> ExtendedRational:
-    """Measure assembled cell by cell; falls back to the direct union measure
-    when the union is not finitely cell-coverable."""
-    u = coerce_union(u)
-    if any(b.measure() == INF for b in u.boxes):
-        return INF
-    try:
-        pieces = cell_decompose(u)
-    except NotFinitelyCellCoverable:
-        return union_measure(u)
-    total = Fraction(0)
-    for _, piece in pieces:
-        m = union_measure(piece)
-        if m == INF:
-            return INF
-        total += m
-    return total
+    """Measure assembled from translated copies of the unit-cell measure.
+
+    Cells meet only in null sets, and the measure is countably additive and
+    translation invariant, so the sum of the per-cell measures of
+    :func:`cell_decompose`'s pieces is the measure of the union, which
+    ``union_measure`` computes by the tail law without enumerating cells.
+    """
+    return union_measure(coerce_union(u))
 
 
 @dataclass(frozen=True)
@@ -226,16 +224,11 @@ def meeting_cells(u) -> List[LatticeVector]:
     Requires tails inside the base window (otherwise the set meets cells on
     infinitely many coordinates).
     """
-    u = coerce_union(u)
     found = set()
-    for b in u.boxes:
-        _check_base_window(b)
-        coords = b.coords
-        window_lists = [
-            sorted({m for m, _ in _coordinate_windows(b.constraint(c))}) for c in coords
-        ]
-        for combo in itertools.product(*window_lists):
-            found.add(LatticeVector(tuple(zip(coords, combo))))
+    for b in coerce_union(u).boxes:
+        if reason := _off_window(b):
+            raise NotFinitelyCellCoverable(reason)
+        found.update(z for z, _ in _cells(b))
     return sorted(found, key=lambda z: z.sort_key())
 
 
@@ -254,20 +247,11 @@ def sigma_cover(s) -> Union[List[Cell], NotSigmaFinite]:
     aligned with the base lattice window.  A box with a null explicit
     constraint is skipped before its tail is looked at.
     """
-    s = coerce_union(s)
     found = set()
-    for b in s.boxes:
+    for b in coerce_union(s).boxes:
         if _null_in_explicit(b):
             continue
-        if b.tail.total_length > 1:
-            return NotSigmaFinite("tail constraint longer than 1")
-        if not b.tail.issubset(UNIT_UNION):
-            return NotSigmaFinite("tail constraint not inside the base window [0,1]")
-        coords = b.coords
-        window_lists = [
-            sorted({m for m, piece in _coordinate_windows(b.constraint(c)) if piece.length > 0})
-            for c in coords
-        ]
-        for combo in itertools.product(*window_lists):
-            found.add(LatticeVector(tuple(zip(coords, combo))))
+        if reason := _off_window(b):
+            return NotSigmaFinite(reason)
+        found.update(z for z, _ in _cells(b, positive=True))
     return [Cell(base=z) for z in sorted(found, key=lambda z: z.sort_key())]

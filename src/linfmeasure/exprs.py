@@ -112,15 +112,14 @@ class Series(Expr):
 
     ``sparse_cutoff(k)`` must return an index beyond which every term
     vanishes identically whenever all coordinates above k match the
-    evaluation point's default value; ``tail_bound(k)`` must bound
-    sum_{n > k} |term(n)| uniformly on the domain.  At least one of the two
-    is needed to evaluate the series rigorously.
+    evaluation point's default value.  It is needed to evaluate, slice or
+    integrate the series exactly; without it each raises
+    :class:`SeriesNotSummable`.
     """
 
     term: Callable[[int], Expr]
     start: int = 1
     sparse_cutoff: Optional[Callable[[int], int]] = None
-    tail_bound: Optional[Callable[[int], Fraction]] = None
     support_hint: Optional[BoxUnion] = None
 
 
@@ -184,23 +183,23 @@ def _max_support(point: Point) -> int:
     return max(keys) if keys else -1
 
 
-def evaluate(f: Expr, point: Point, series_tol: Fraction = Fraction(1, 10**12)):
+def evaluate(f: Expr, point: Point):
     """Exact evaluation at a finitely supported point (zero beyond support)."""
     if isinstance(f, Const):
         return f.value
     if isinstance(f, Coord):
         return _point_get(point, f.index)
     if isinstance(f, Sum):
-        return sum(evaluate(t, point, series_tol) for t in f.terms)
+        return sum(evaluate(t, point) for t in f.terms)
     if isinstance(f, Prod):
         acc = Fraction(1)
         for g in f.factors:
-            acc *= evaluate(g, point, series_tol)
+            acc *= evaluate(g, point)
             if acc == 0:
                 return acc
         return acc
     if isinstance(f, Scale):
-        return f.coef * evaluate(f.arg, point, series_tol)
+        return f.coef * evaluate(f.arg, point)
     if isinstance(f, Piecewise):
         x = _point_get(point, f.index)
         for iu, coeffs in f.pieces:
@@ -213,34 +212,22 @@ def evaluate(f: Expr, point: Point, series_tol: Fraction = Fraction(1, 10**12)):
         shifted = dict(point)
         for i, v in f.shift.entries:
             shifted[i] = _point_get(point, i) + v
-        return evaluate(f.arg, shifted, series_tol)
+        return evaluate(f.arg, shifted)
     if isinstance(f, Clamp):
-        v = evaluate(f.arg, point, series_tol)
+        v = evaluate(f.arg, point)
         return v if abs(v) <= f.bound else Fraction(0)
     if isinstance(f, Abs):
-        return abs(evaluate(f.arg, point, series_tol))
+        return abs(evaluate(f.arg, point))
     if isinstance(f, Series):
-        return _evaluate_series(f, point, series_tol)
+        return _evaluate_series(f, point)
     raise TypeError(f"unknown expression node {type(f).__name__}")
 
 
-def _evaluate_series(f: Series, point: Point, series_tol: Fraction):
-    if f.sparse_cutoff is not None:
-        cutoff = max(f.sparse_cutoff(_max_support(point)), f.start - 1)
-        return sum(
-            (evaluate(f.term(n), point, series_tol) for n in range(f.start, cutoff + 1)),
-            Fraction(0),
-        )
-    if f.tail_bound is not None:
-        total = Fraction(0)
-        n = f.start
-        while f.tail_bound(n - 1) > series_tol:
-            total += evaluate(f.term(n), point, series_tol)
-            n += 1
-            if n - f.start > 100_000:
-                raise SeriesNotSummable("tail bound decays too slowly to evaluate")
-        return total
-    raise SeriesNotSummable("series has neither a sparse cutoff nor a tail bound")
+def _evaluate_series(f: Series, point: Point):
+    if f.sparse_cutoff is None:
+        raise SeriesNotSummable("series needs a sparse cutoff to evaluate exactly")
+    cutoff = max(f.sparse_cutoff(_max_support(point)), f.start - 1)
+    return sum((evaluate(f.term(n), point) for n in range(f.start, cutoff + 1)), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -187,24 +187,25 @@ def _inner_limit(
     Each distinct evaluator is integrated once, and its values are spread
     over the n that share it.
     """
-    evaluators = [cache.evaluator_at(n) for n in cache.n_values]
     integrals: dict = {}  # evaluator -> (value, |value| or None)
     abs_exact = True
-    for ev in dict.fromkeys(evaluators):  # distinct, in order
-        try:
+    try:
+        evaluators = [cache.evaluator_at(n) for n in cache.n_values]
+        for ev in dict.fromkeys(evaluators):  # distinct, in order
             value = ev.integral_at(bound)
-        except FormNotExact:
-            # truncating below the function's own bound would cut through
-            # a non-constant piece; the caller skips this bound (any bound
-            # at or above the function's magnitude changes nothing)
-            return None
-        abs_value = None
-        if abs_exact:
-            try:
-                abs_value = ev.abs_integral_at(bound)
-            except FormNotExact:
-                abs_exact = False
-        integrals[ev] = (value, abs_value)
+            abs_value = None
+            if abs_exact:
+                try:
+                    abs_value = ev.abs_integral_at(bound)
+                except FormNotExact:
+                    abs_exact = False
+            integrals[ev] = (value, abs_value)
+    except FormNotExact:
+        # an active Clamp, or truncating below the function's own bound,
+        # would cut through a non-constant piece; the caller skips this
+        # bound (any bound at or above the function's magnitude changes
+        # nothing)
+        return None
     values = tuple(integrals[ev][0] for ev in evaluators)
     abs_values = [integrals[ev][1] for ev in evaluators] if abs_exact else None
     return _InnerLimit(
@@ -376,7 +377,11 @@ def integrability_check(
         else:
             # a bounded function is integrable on a unit cell, so the term
             # magnitudes of the largest slice bound the |f| integral
-            bound = cache.evaluator_at(max(sched.n_values)).total_bound
+            try:
+                bound = cache.evaluator_at(max(sched.n_values)).total_bound
+            except FormNotExact:
+                at = dict(cell.base.entries)
+                return report("inconclusive", f"no |f| bound on the cell at {at}: slices not exact")
             note = f"upper bound {bound} from term magnitudes, not an exact |f| integral"
             evidence.append(CellEvidence(cell, res, bound, note))
     total = sum((e.absolute_integral for e in evidence), Fraction(0))

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,21 @@ def test_patch_measure_wide_coordinate():
     u = BoxUnion.of(Box.make({0: (0, 3)}))
     assert patch_measure(u) == 3
     assert len(cell_decompose(u)) == 3
+
+
+# A box straddling the origin on k coordinates meets 2^k cells, and one with
+# an endpoint at h meets h cells: patch_measure must not visit them.
+def test_patch_measure_of_a_box_meeting_two_to_the_thirty_cells():
+    half = (Fraction(-1, 2), Fraction(1, 2))
+    start = time.perf_counter()
+    assert patch_measure(Box.make({c: half for c in range(30)})) == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_patch_measure_of_an_endpoint_at_a_billion():
+    start = time.perf_counter()
+    assert patch_measure(Box.make({0: (0, Fraction(1, 2)), 1: (0, 10**9)})) == 5 * 10**8
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cell_decompose_fractional_span():

@@ -45,6 +45,15 @@ def test_measure_writes_json_report(capsys, tmp_path):
     assert report["command"] == "measure"
 
 
+def test_measure_of_a_set_meeting_a_billion_cells(capsys, tmp_path):
+    # x1 in [0, 10^9] meets 10^9 cells; the measure is read off the tail law
+    problem = tmp_path / "long.json"
+    explicit = {"0": [["0", "1/2"]], "1": [["0", "1000000000"]]}
+    long_set = {"explicit": explicit, "tail": [["0", "1"]]}
+    problem.write_text(json.dumps({"sets": {"long": long_set}}))
+    assert run(capsys, "measure", "long", "-f", str(problem))[:2] == (0, "500000000\n")
+
+
 def test_integrate_cylinder_exact_quarter(capsys):
     code, out, _ = run(
         capsys,
@@ -89,6 +98,19 @@ def test_integrate_spike_deep_schedule_converges_to_zero(capsys):
     assert report["result"]["status"] == "converged"
     # 3^9 / 3^31 survives the deepest bound: an exact, tiny rational
     assert report["result"]["value"] == f"1/{3 ** 22}"
+
+
+def test_integrate_active_clamp_is_inconclusive(capsys, tmp_path):
+    # clamping x0 * x1 at 1/2 leaves no exactly representable slice
+    problem = json.loads(Path(BASICS).read_text())
+    xy = problem["functions"]["xy"]
+    problem["functions"]["cx"] = {"op": "clamp", "bound": "1/2", "arg": xy}
+    path = tmp_path / "clamp.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "integrate", "cx", "-f", str(path), "--no-trace")
+    assert code == 3
+    result = json.loads(out)["result"]
+    assert result["status"] == "inconclusive" and result["value"] is None
 
 
 def test_integrate_no_truncation_reports_misleading_one(capsys):

@@ -107,17 +107,6 @@ def test_series_without_cutoff_cannot_evaluate():
         evaluate(s, {})
 
 
-def test_series_tail_bound_evaluation():
-    # sum 2^-n = 1, with tail bound 2^-k
-    s = Series(
-        term=lambda n: const(Fraction(1, 2**n)),
-        start=1,
-        tail_bound=lambda k: Fraction(1, 2**k),
-    )
-    v = evaluate(s, {})
-    assert abs(v - 1) < Fraction(1, 10**9)
-
-
 def test_slice_freezes_later_coordinates_at_anchor():
     f = mul(coord(0), coord(5))
     anchor = Anchor(entries=SparseVector.of({5: Fraction(1, 3)}))
@@ -158,7 +147,7 @@ def test_slice_spike_terms_vanish_beyond_cutoff():
 
 
 def test_slice_series_without_cutoff_raises():
-    s = Series(term=lambda n: const(0), start=1, tail_bound=lambda k: Fraction(0))
+    s = Series(term=lambda n: const(0), start=1)
     with pytest.raises(SeriesNotSummable):
         slice_function(s, Anchor(), 2)
 

@@ -291,3 +291,19 @@ def test_trace_records_every_pair():
     assert {(t.n, t.truncation) for t in r.trace} == {
         (n, M) for n in range(5) for M in (Fraction(2), Fraction(4))
     }
+
+
+def test_active_clamp_over_a_non_constant_function_is_inconclusive():
+    # clamping x0 * x1 at 1/2 cuts through a non-constant piece on every
+    # slice, so no truncation bound can be evaluated exactly
+    f = Clamp(XY_CELL, Fraction(1, 2))
+    r = integrate_cell(f, sched=QUICK)
+    assert r.status == "inconclusive" and r.value is None
+    assert r.warnings[-1] == "no truncation bound in the schedule could be evaluated"
+    assert len(r.warnings) == len(QUICK.M_values) + 1
+    rep = integrability_check(f, sched=QUICK)
+    assert rep.verdict == "inconclusive"
+    assert rep.reason == "no |f| bound on the cell at {}: slices not exact"
+    g = integrate_global(f, sched=QUICK)
+    assert g.status == "inconclusive" and g.value is None
+    assert g.warnings == (f"integrability check: {rep.reason}",)

@@ -149,8 +149,8 @@ def _reference_trace(f, anchor, sched):
     for bound in sched.M_values:
         kept = []
         for n in sched.n_values:
-            ev = SliceEvaluator(slice_function(f, anchor, n))
             try:
+                ev = SliceEvaluator(slice_function(f, anchor, n))
                 kept.append(SliceIntegral(n, bound, ev.integral_at(bound)))
             except FormNotExact:
                 kept = None
