@@ -34,6 +34,7 @@ from .cells import (
     sigma_cover,
 )
 from .errors import (
+    CoverTooLarge,
     FormNotExact,
     LinfMeasureError,
     NotDisjointifiable,

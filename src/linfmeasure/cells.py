@@ -1,10 +1,10 @@
-"""Unit cells of the base lattice, cell decomposition, and NZ-set queries.
+"""Unit cells of the base lattice: decomposition, covers, compatibility, NZ sets.
 
 The global measure is assembled from translated copies of the unit-cell
 measure; cells meet only in null sets, so it is read off the tail law.  One
 enumerator lists the cells a box meets for the per-cell pieces, the cells
-met and the sigma-cover; the module also verifies compatibility on overlaps
-and finds the cells on which a set keeps more than a threshold of mass.
+met and the capped sigma-cover.  ``nz_set`` reads the cells' masses off one
+disjoint refinement, at a cost of window x pieces, not of the cells met.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from .boxes import (
     LatticeVector,
     SparseVector,
     ZERO_VECTOR,
-    _boxes_meet,
+    _tail_class,
     coerce_union,
     unit_cell,
+    union_disjointify,
     union_measure,
 )
-from .errors import NotFinitelyCellCoverable, SampleOutsideOverlap
+from .errors import CoverTooLarge, NotFinitelyCellCoverable, SampleOutsideOverlap
 from .intervals import Interval, IntervalUnion, UNIT_UNION, frac
 
 
@@ -45,6 +46,8 @@ class Cell:
 
 
 ORIGIN_CELL = Cell()
+
+MAX_COVER_CELLS = 10_000  # windows a sigma-cover may list, counted per member
 
 
 def _off_window(b: Box) -> Optional[str]:
@@ -188,14 +191,6 @@ class NZQuery:
                 raise ValueError("shift entries must lie in [0,1]")
 
 
-def cell_mass(u: BoxUnion, z: LatticeVector) -> ExtendedRational:
-    cell_box = unit_cell().translate(z.to_sparse())
-    # a member that misses the cell adds nothing
-    return union_measure(
-        BoxUnion(tuple(b.intersect(cell_box) for b in u.boxes if _boxes_meet(b, cell_box)))
-    )
-
-
 def _null_in_explicit(b: Box) -> bool:
     """Whether some explicit constraint has length 0: the box is then null
     whatever its tail (0 * inf = 0)."""
@@ -203,17 +198,33 @@ def _null_in_explicit(b: Box) -> bool:
 
 
 def nz_set(q: NZQuery) -> List[LatticeVector]:
-    """Lattice vectors in the window where the shifted set keeps > delta mass."""
+    """Lattice vectors in the window where the shifted set keeps > delta mass,
+    read off one refinement of the [0,1] tail class (another tail of length 1
+    meets [0,1] in less): a cell's mass sums the pieces' clipped volumes."""
     for b in q.set.boxes:
         if b.tail.total_length > 1 and not _null_in_explicit(b):
             raise NotFinitelyCellCoverable(
                 "tail constraint longer than 1: NZ masses are infinite on infinitely many cells"
             )
-    shifted = q.set.translate(-q.shift)
+    live = tuple(
+        Box(b.explicit, UNIT_UNION) for b in q.set.translate(-q.shift).boxes
+        if _tail_class(b.tail) == UNIT_UNION and not _null_in_explicit(b)
+    )
+    pieces = [dict(p.explicit) for p in union_disjointify(BoxUnion(live)).boxes]
+    lengths: dict = {}  # length_ratio of c within [m, m+1], by (c, m)
     members = []
     for z in q.window:
-        m = cell_mass(shifted, z)
-        if m > q.delta:
+        steps, num, den = dict(z.entries), 0, 1
+        # [0,1] meets [m, m+1] in at most a point when m != 0
+        for p in (p for p in pieces if steps.keys() <= p.keys()):
+            p_num = p_den = 1
+            for c, m in ((c, steps.get(i, 0)) for i, c in p.items()):
+                if (c, m) not in lengths:
+                    lengths[c, m] = c.intersect(IntervalUnion.coerce((m, m + 1))).length_ratio()
+                p_num, p_den = p_num * lengths[c, m][0], p_den * lengths[c, m][1]
+            g = math.gcd(den, p_den)
+            num, den = num * (p_den // g) + p_num * (den // g), den // g * p_den
+        if num * q.delta.denominator > q.delta.numerator * den:
             members.append(z)
     return sorted(members, key=lambda z: z.sort_key())
 
@@ -245,13 +256,17 @@ def sigma_cover(s) -> Union[List[Cell], NotSigmaFinite]:
     Returns :class:`NotSigmaFinite` when a tail longer than 1 forces
     uncountably many positive-measure cells, or when the tail cannot be
     aligned with the base lattice window.  A box with a null explicit
-    constraint is skipped before its tail is looked at.
+    constraint is skipped before its tail is looked at.  Over
+    ``MAX_COVER_CELLS`` windows, counted first, raise :class:`CoverTooLarge`.
     """
-    found = set()
-    for b in coerce_union(s).boxes:
-        if _null_in_explicit(b):
-            continue
-        if reason := _off_window(b):
-            return NotSigmaFinite(reason)
-        found.update(z for z, _ in _cells(b, positive=True))
+    boxes = [b for b in coerce_union(s).boxes if not _null_in_explicit(b)]
+    for reason in filter(None, map(_off_window, boxes)):
+        return NotSigmaFinite(reason)
+    count = sum(
+        math.prod(sum(math.ceil(x.hi) - math.floor(x.lo) for x in c.components) for _, c in b.explicit)
+        for b in boxes
+    )
+    if count > MAX_COVER_CELLS:
+        raise CoverTooLarge(f"cover needs up to {count} cells, more than the {MAX_COVER_CELLS} allowed")
+    found = {z for b in boxes for z, _ in _cells(b, positive=True)}
     return [Cell(base=z) for z in sorted(found, key=lambda z: z.sort_key())]

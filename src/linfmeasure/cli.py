@@ -7,8 +7,9 @@ never a float.  Reports are deterministic for a given file and version
 (timings are deliberately omitted).
 
 Exit codes: 0 success, 1 not-integrable/diverged/failed verification,
-2 usage or parse error, 3 inconclusive.  A reader that closes stdout early
-(``| head``) ends the run quietly with exit 0.
+2 usage or parse error or a cell cover over ``cells.MAX_COVER_CELLS``,
+3 inconclusive.  A reader that closes stdout early (``| head``) ends the
+run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from . import __version__
 from .boxes import Box, BoxUnion, LatticeVector, SparseVector, unit_cell
 from .cells import Cell, compatibility_check, patch_measure
-from .errors import LinfMeasureError
+from .errors import CoverTooLarge, LinfMeasureError
 from .exprs import (
     Abs,
     Anchor,
@@ -470,7 +471,10 @@ def cmd_integrate(args) -> int:
         else:
             result = integrate_global(f, sched, cells=cells)
     else:
-        result = integrate_global(f, sched)
+        try:
+            result = integrate_global(f, sched)
+        except CoverTooLarge as exc:
+            raise ProblemError(f"functions.{args.function}: {exc}")
     report = {
         "version": __version__,
         "command": "integrate",
@@ -606,10 +610,12 @@ def cmd_verify(args) -> int:
     tasks = problem.raw.get("verify", [])
     if not isinstance(tasks, list):
         raise ProblemError("verify: expected a list of checks")
-    results = [
-        _run_verify_task(problem, task, f"verify[{k}]")
-        for k, task in enumerate(tasks)
-    ]
+    results = []
+    for k, task in enumerate(tasks):
+        try:
+            results.append(_run_verify_task(problem, task, f"verify[{k}]"))
+        except CoverTooLarge as exc:
+            raise ProblemError(f"verify[{k}]: {exc}")
     passed = all(r.get("passed") for r in results)
     report = {
         "version": __version__,

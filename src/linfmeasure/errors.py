@@ -9,6 +9,10 @@ class NotFinitelyCellCoverable(LinfMeasureError):
     """The set cannot be covered by finitely many unit cells of the base lattice."""
 
 
+class CoverTooLarge(LinfMeasureError):
+    """A sigma-cover would list more cells than ``cells.MAX_COVER_CELLS``."""
+
+
 class NotDisjointifiable(LinfMeasureError):
     """Overlapping boxes with incompatible tails admit no finite disjoint refinement."""
 

@@ -502,7 +502,12 @@ def test_apart_boxes_are_never_compared(monkeypatch):
     assert union_measure(u) == sum((b.measure() for b in members), Fraction(0))
 
 
-NZ_WINDOW = [LatticeVector.of({0: a, 1: b}) for a in range(-2, 3) for b in range(-2, 3)]
+# the 5 x 5 block on coordinates 0 and 1, and cells that step on coordinates
+# 2-5, which a piece leaving such a coordinate to its tail does not reach
+NZ_WINDOW = [LatticeVector.of({0: a, 1: b}) for a in range(-2, 3) for b in range(-2, 3)] + [
+    LatticeVector.of(steps)
+    for steps in ({2: 1}, {2: -1}, {0: 1, 5: -1}, {3: 1}, {1: 1, 4: -1}, {5: 2})
+]
 
 
 @given(

@@ -11,6 +11,7 @@ from linfmeasure.boxes import (
     SparseVector,
     unit_cell,
 )
+from linfmeasure import cells
 from linfmeasure.cells import (
     Cell,
     NZQuery,
@@ -22,7 +23,7 @@ from linfmeasure.cells import (
     patch_measure,
     sigma_cover,
 )
-from linfmeasure.errors import NotFinitelyCellCoverable, SampleOutsideOverlap
+from linfmeasure.errors import CoverTooLarge, NotFinitelyCellCoverable, SampleOutsideOverlap
 from linfmeasure.exprs import indicator
 from linfmeasure.intervals import INF
 from linfmeasure.limits import integrate_global
@@ -54,6 +55,27 @@ def test_patch_measure_of_a_box_meeting_two_to_the_thirty_cells():
 def test_patch_measure_of_an_endpoint_at_a_billion():
     start = time.perf_counter()
     assert patch_measure(Box.make({0: (0, Fraction(1, 2)), 1: (0, 10**9)})) == 5 * 10**8
+    assert time.perf_counter() - start < 1.0
+
+
+# nz_set reads each window cell off one refinement: its cost is window x
+# pieces, not the 2^30 or 10^9 cells these sets meet
+NZ_BLOCK = [LatticeVector.of({0: a, 1: b}) for a in range(-2, 3) for b in range(-2, 3)]
+
+
+def test_nz_set_of_a_box_meeting_two_to_the_thirty_cells():
+    half = (Fraction(-1, 2), Fraction(1, 2))
+    start = time.perf_counter()
+    # each of the four cells around the origin on x0, x1 keeps 2^-30 of it
+    q = NZQuery(set=Box.make({c: half for c in range(30)}), delta=Fraction(1, 2**31), window=NZ_BLOCK)
+    assert [z.entries for z in nz_set(q)] == [(), ((0, -1),), ((0, -1), (1, -1)), ((1, -1),)]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nz_set_of_an_endpoint_at_a_billion():
+    start = time.perf_counter()
+    q = NZQuery(set=Box.make({0: (Fraction(1, 2), 10**9)}), delta=Fraction(1, 4), window=NZ_BLOCK)
+    assert [z.entries for z in nz_set(q)] == [(), ((0, 1),), ((0, 2),)]
     assert time.perf_counter() - start < 1.0
 
 
@@ -188,3 +210,34 @@ def test_null_box_with_a_long_or_misplaced_tail_is_skipped(tail):
 def test_sigma_cover_spans_windows():
     cover = sigma_cover(BoxUnion.of(Box.make({0: (0, 3)})))
     assert [c.base.get(0) for c in cover] == [0, 1, 2]
+
+
+def test_sigma_cover_cap_counts_windows_before_listing_cells(monkeypatch):
+    monkeypatch.setattr(cells, "MAX_COVER_CELLS", 3)
+    assert len(sigma_cover(Box.make({0: (0, 3)}))) == 3
+    with pytest.raises(CoverTooLarge, match="up to 4 cells, more than the 3 allowed"):
+        sigma_cover(Box.make({0: (0, Fraction(7, 2))}))
+    # [1/2, 3/2] and [0, 2] each span two windows on x0: members are counted
+    # apart, so two cells bound to 4
+    with pytest.raises(CoverTooLarge, match="up to 4 cells"):
+        sigma_cover(BoxUnion.of(Box.make({0: (Fraction(1, 2), Fraction(3, 2))}), Box.make({0: (0, 2)})))
+    # a null box is skipped, and a long tail is a verdict before the count
+    assert sigma_cover(Box.make({0: (0, 10**9), 1: (Fraction(1, 2), Fraction(1, 2))})) == []
+    big = Box.make({0: (0, 10**9)})
+    assert isinstance(sigma_cover(BoxUnion.of(big, Box.make({}, tail=(0, 2)))), NotSigmaFinite)
+
+
+@pytest.mark.parametrize(
+    "box, count",
+    [
+        (Box.make({0: (0, Fraction(1, 2)), 1: (0, 10**9)}), 10**9),
+        (Box.make({c: (Fraction(-1, 2), Fraction(1, 2)) for c in range(30)}), 2**30),
+    ],
+)
+def test_integrals_over_a_cover_past_the_cap_stop_at_once(box, count):
+    start = time.perf_counter()
+    with pytest.raises(CoverTooLarge, match=f"up to {count} cells"):
+        sigma_cover(box)
+    with pytest.raises(CoverTooLarge):
+        integrate_global(indicator(BoxUnion.of(box)))
+    assert time.perf_counter() - start < 1.0

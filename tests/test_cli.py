@@ -54,6 +54,31 @@ def test_measure_of_a_set_meeting_a_billion_cells(capsys, tmp_path):
     assert run(capsys, "measure", "long", "-f", str(problem))[:2] == (0, "500000000\n")
 
 
+def test_cover_past_the_cap_is_a_located_usage_error(capsys, tmp_path):
+    # the support meets 10^9 cells, more than cells.MAX_COVER_CELLS: the cover
+    # is refused from the endpoints before any cell is listed
+    explicit = {"0": [["0", "1/2"]], "1": [["0", "1000000000"]]}
+    problem = {
+        "sets": {"long": [{"explicit": explicit}]},
+        "functions": {"long-indicator": {"op": "indicator", "region": "long"}},
+        "verify": [
+            {"type": "expect-measure", "set": "long", "value": "500000000"},
+            {"type": "invariance", "function": "long-indicator", "shift": {"0": "1/2"}},
+        ],
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(problem))
+    code, _, err = run(capsys, "integrate", "long-indicator", "-f", str(path))
+    assert code == 2
+    assert err == (
+        "error: functions.long-indicator: cover needs up to 1000000000 cells, "
+        "more than the 10000 allowed\n"
+    )
+    code, _, err = run(capsys, "verify", "-f", str(path))
+    assert code == 2
+    assert err.startswith("error: verify[1]: cover needs up to 1000000000 cells")
+
+
 def test_integrate_cylinder_exact_quarter(capsys):
     code, out, _ = run(
         capsys,

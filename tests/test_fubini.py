@@ -223,3 +223,10 @@ def test_product_meets_both_tails():
     for split in (V0, EVEN, ODD):
         result = iterated_integrate(f, split, QUICK, assume_integrable=True)
         assert result.value == Fraction(1, 2)
+
+
+def test_iterated_integral_infinite_on_one_side_is_refused():
+    # a tail longer than 1 makes the W side infinite while the V side is 1
+    f = indicator(Box.make({}, tail=(0, 2)))
+    with pytest.raises(SplitUnsupported, match="^iterated integral is infinite on one side$"):
+        iterated_integrate(f, CoordinateSplit("finite", (0,)), assume_integrable=True)

@@ -6,8 +6,8 @@ import pytest
 
 from linfmeasure.boxes import Box, BoxUnion, SparseVector, unit_cell
 from linfmeasure.cells import Cell
-from linfmeasure.errors import UnknownSupport
-from linfmeasure.exprs import Anchor, Clamp, const, coord, indicator, mul
+from linfmeasure.errors import SeriesNotSummable, UnknownSupport
+from linfmeasure.exprs import Anchor, Clamp, Scale, Series, const, coord, indicator, mul
 from linfmeasure.intervals import INF, Interval
 from linfmeasure.library import spike_series, spike_support_indicator
 from linfmeasure.limits import (
@@ -307,3 +307,20 @@ def test_active_clamp_over_a_non_constant_function_is_inconclusive():
     g = integrate_global(f, sched=QUICK)
     assert g.status == "inconclusive" and g.value is None
     assert g.warnings == (f"integrability check: {rep.reason}",)
+
+
+def test_series_without_a_sparse_cutoff_is_refused_by_form_and_slices(monkeypatch):
+    # the form's series reader refuses the series, so the cell run falls back
+    # to slicing at each n, which needs the cutoff as well
+    reads = []
+    form = limits._form_evaluators
+
+    def recording_form(*args):
+        reads.append(form(*args))
+        return reads[-1]
+
+    monkeypatch.setattr(limits, "_form_evaluators", recording_form)
+    s = Series(term=lambda k: Scale(Fraction(1, 2**k), indicator(BoxUnion.of(unit_cell()))))
+    with pytest.raises(SeriesNotSummable, match="^series needs a sparse cutoff to slice exactly$"):
+        integrate_cell(s)
+    assert reads == [None]

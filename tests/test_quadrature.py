@@ -17,6 +17,7 @@ from linfmeasure.exprs import (
     Piecewise,
     Prod,
     Scale,
+    Series,
     SlicedFunction,
     Sum,
     Translate,
@@ -416,3 +417,10 @@ def test_hand_built_slice_translates_through_abs_and_clamp(clip, expected):
     body = Translate(clip(inner), SparseVector.of({0: Fraction(-1, 2)}))
     assert integrate_slice(SlicedFunction(1, body), EXACT).value == expected
     assert integrate_slice(slice_function(body, Anchor(), 0), EXACT).value == expected
+
+
+def test_normalize_refuses_a_series_it_has_no_reader_for():
+    # the bare normal form has no series reader: a series must be sliced first
+    s = Series(term=lambda k: Scale(Fraction(1, 2**k), indicator(Box.make({0: (0, 1)}))))
+    with pytest.raises(FormNotExact, match="^series must be sliced before exact integration$"):
+        normalize(s)
